@@ -23,12 +23,23 @@ from .laurent import parse_poly, x_profile
 from .polyrep import act
 
 
-def _parse_m_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..")
-        return int(a), int(b)
-    v = int(text)
-    return v, v
+def _m_range(text: str) -> tuple[int, int]:
+    """Validate ``--m``: a rank ``M`` or a range ``A..B`` with 1 <= A <= B."""
+    lo, sep, hi = text.partition("..")
+    try:
+        a, b = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a rank M or a range A..B, got {text!r}") from None
+    if not 1 <= a <= b:
+        raise argparse.ArgumentTypeError(f"ranks start at 1 and need A <= B, got {text!r}")
+    return a, b
+
+
+def _m_single(text: str) -> int:
+    a, b = _m_range(text)
+    if a != b:
+        raise argparse.ArgumentTypeError(f"expected a single rank, got {text!r}")
+    return a
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:
@@ -67,10 +78,9 @@ def _split_eval_expression(m: int, text: str):
 
 
 def _cmd_verify(args) -> int:
-    m_range = _parse_m_range(args.m)
     report = verify.run_suite(
         args.suite,
-        m_range,
+        args.m,
         seed=args.seed,
         cases=args.cases,
         n=args.n,
@@ -197,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify.SUITES)
-    p.add_argument("--m", required=True, help="rank or A..B range")
+    p.add_argument("--m", type=_m_range, required=True, help="rank or A..B range")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=1000, help="randomized case count")
     p.add_argument("--n", type=int, default=1, help="orbits: max first-factor rank")
@@ -207,26 +217,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate '<hecke-literal> * <poly-literal>'")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_m_single, required=True)
     p.add_argument("expression")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("springer", help="fixed points, bases, action matrices")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_m_single, required=True)
     p.add_argument("--show", choices=("flags", "bases", "matrix"), required=True)
     p.add_argument("--generator", default="T_sm", help="for --show matrix")
     p.add_argument("--json", help="write compact JSON here")
     p.set_defaults(fn=_cmd_springer)
 
     p = sub.add_parser("theta", help="IC-basis generator matrices")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_m_single, required=True)
     p.add_argument("--matrices", action="store_true", required=True)
     p.add_argument("--json", help="write compact JSON here")
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("orbits", help="orbit labels for the (GL_n, GL_m) pair")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_m_single, required=True)
     p.add_argument("--bounds", required=True, help="N,r")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=_cmd_orbits)

@@ -25,7 +25,7 @@ algebra of the extended affine Weyl group (tested).
 from __future__ import annotations
 
 from . import weyl
-from .laurent import S_PROFILE, LaurentPoly, demazure_exponents, parse_poly
+from .laurent import S_PROFILE, LaurentPoly, _tokenize, demazure_exponents, parse_poly
 
 __all__ = ["HeckeElt", "t_element", "t_inverse", "parse_hecke", "V", "ONE_S"]
 
@@ -111,6 +111,8 @@ class HeckeElt:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
+        if self.m != other.m:
+            raise ValueError("rank mismatch")
         terms = dict(self.terms)
         for key, c in other.terms.items():
             c2 = terms.get(key)
@@ -333,33 +335,6 @@ def t_inverse(m: int, i: int) -> HeckeElt:
 # -- literal grammar ----------------------------------------------------------
 
 
-def _hecke_tokens(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()[],":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in Hecke literal")
-    return tokens
-
-
 class _HeckeParser:
     def __init__(self, m: int, tokens: list[str]):
         self.m = m
@@ -469,4 +444,4 @@ class _HeckeParser:
 def parse_hecke(m: int, text: str) -> HeckeElt:
     """Parse the grammar ``e[lam]``, ``T[i]``, ``Tw[k]``, ``*``, with integer
     and s-polynomial coefficients."""
-    return _HeckeParser(m, _hecke_tokens(text)).parse()
+    return _HeckeParser(m, _tokenize(text)).parse()

@@ -143,16 +143,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> int | None:
-        """The integer value if this is a constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            key, c = next(iter(self.terms.items()))
-            if all(e == 0 for e in key):
-                return c
-        return None
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in the canonical order: descending lex on exponent tuples."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -380,13 +370,15 @@ class LaurentPoly:
 
 
 def _tokenize(text: str) -> list[str]:
+    """Split a polynomial or Hecke literal into integers, identifiers
+    (letters, digits and ``_``) and the punctuation ``+-*^()[],``."""
     tokens: list[str] = []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "+-*^()":
+        elif ch in "+-*^()[],":
             tokens.append(ch)
             i += 1
         elif ch.isdigit():
@@ -402,7 +394,7 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(text[i:j])
             i = j
         else:
-            raise ValueError(f"bad character {ch!r} in polynomial literal")
+            raise ValueError(f"bad character {ch!r} in literal")
     return tokens
 
 
@@ -506,11 +498,6 @@ def demazure_exponents(lam: Sequence[int], i: int) -> list[tuple[tuple[int, ...]
             mu[i] -= j
             out.append((tuple(mu), -1))
     return out
-
-
-def _x_monomial(profile: tuple[str, ...], mu: Sequence[int], coeff: int = 1) -> LaurentPoly:
-    exps = tuple(mu) + (0,) * (len(profile) - len(mu))
-    return LaurentPoly.monomial(profile, exps, coeff)
 
 
 def demazure_quotient(lam: Sequence[int], i: int) -> LaurentPoly:

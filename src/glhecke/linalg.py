@@ -19,9 +19,6 @@ from .laurent import LaurentPoly
 
 __all__ = [
     "RationalFn",
-    "mat_mul",
-    "mat_solve",
-    "mat_inv",
     "det_laurent",
     "det_expansion",
     "cramer_solve",
@@ -126,56 +123,6 @@ class RationalFn:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
-
-
-Matrix = list[list[RationalFn]]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                if not (a[i][t].is_zero() or b[t][j].is_zero()):
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a X = b by Gauss-Jordan elimination; a must be invertible."""
-    n = len(a)
-    width = len(b[0])
-    aug = [[a[i][j] for j in range(n)] + [b[i][j] for j in range(width)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero():
-                continue
-            factor = aug[r][col] / inv
-            for c in range(col, n + width):
-                aug[r][c] = aug[r][c] - factor * aug[col][c]
-    return [
-        [aug[i][n + j] / aug[i][i] for j in range(width)]
-        for i in range(n)
-    ]
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    profile = a[0][0].num.profile
-    one = RationalFn.of(LaurentPoly.one(profile))
-    zero = RationalFn.of(LaurentPoly.zero(profile))
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return mat_solve(a, ident)
 
 
 def det_expansion(m: list[list[LaurentPoly]]) -> LaurentPoly:

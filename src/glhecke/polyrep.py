@@ -7,9 +7,11 @@ Vectors are Laurent polynomials over a profile containing x1..xm and s
     T_{s_i} * e^lam = (e^lam - e^{s_i lam})/(e^alpha - 1)
                       - s^2 (e^lam - e^{s_i lam + alpha})/(e^alpha - 1)
 
-both quotients realized by the same telescoping operator as the Bernstein
-relation, so every division is exact by construction.  Composite Hecke
-elements act through their Bernstein-basis expansion.
+``act_T`` writes both quotients out as telescoping sums inline, for speed,
+rather than calling ``laurent.demazure_exponents`` per term; every division
+is exact by construction, and the multiply-back test
+``test_divisions_are_exact`` is its oracle.  Composite
+Hecke elements act through their Bernstein-basis expansion.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from .hecke import HeckeElt, perm_word, t_element
 from .laurent import LaurentPoly, x_profile
 from . import weyl
 
-__all__ = ["PolyRepVector", "one_vector", "act", "act_T", "act_e", "t_sm_on_one"]
-
-# A representation vector is just a Laurent polynomial whose profile
-# contains x1..xm and s; the alias records the role.
-PolyRepVector = LaurentPoly
+__all__ = ["one_vector", "act", "act_T", "act_e", "t_sm_on_one"]
 
 
 def _indices(profile: tuple[str, ...], m: int) -> tuple[list[int], int]:

@@ -224,10 +224,6 @@ def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPo
     return tuple(coords)
 
 
-def as_kclass(entries: tuple[LaurentPoly, ...]) -> KClass:
-    return KClass(entries, coords_in_theorem_basis(entries))
-
-
 # -- the Hecke action ---------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ print) has length 2i(m-i) and is exposed as ``omega_opposite_sign``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _all_perms
 
 __all__ = [
     "AffineWeylElt",
@@ -287,8 +286,3 @@ def parse_weyl(m: int, text: str) -> AffineWeylElt:
             raise ValueError(f"bad atom at {text[pos:]!r}")
         result = result * atom**power
     return result
-
-
-def all_finite_perms(m: int):
-    """All one-line permutation tuples of range(m)."""
-    return _all_perms(range(m))

@@ -2,17 +2,17 @@
 budget, one printed pass/fail line per criterion.
 
 All comparisons are exact symbolic equalities (zero tolerance); the time
-budgets are generous on current hardware and asserted as stated.  Run with
+budgets are generous on current hardware and asserted as stated.  Criteria
+that re-check a registered identity run the registered check by id through
+``verify.run_check``, the runner behind ``glhecke verify``.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines,
 or execute this file directly.
 """
 
 import time
-from itertools import permutations, product
+from itertools import product
 
-from glhecke import polyrep, springer, theta, verify, weyl
-from glhecke.hecke import HeckeElt, t_element
-from glhecke.laurent import GS_PROFILE, LaurentPoly, orbit_sum, x_profile
+from glhecke import theta, verify
 
 
 def _report(n, label, ok, elapsed, budget):
@@ -21,78 +21,31 @@ def _report(n, label, ok, elapsed, budget):
     return ok
 
 
-def _gs(ge, se, c=1):
-    return LaurentPoly.monomial(GS_PROFILE, (ge, se), c)
+def _criterion(n, label, budget, suite, stems, ms, cases=1000):
+    """Run the registered checks ``stems`` of ``suite`` at every rank in ms."""
+    t0 = time.perf_counter()
+    checks = [verify.run_check(suite, stem, m, cases=cases) for m in ms for stem in stems]
+    elapsed = time.perf_counter() - t0
+    failed = [c for c in checks if c.status != "pass"]
+    assert _report(n, label, not failed, elapsed, budget) and elapsed < budget, failed
 
 
 def test_criterion_01_tsm_closed_form():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(2, 9):
-        got = polyrep.t_sm_on_one(m)  # raises on mismatch; double-check anyway
-        profile = x_profile(m)
-        xi_plus_w1 = [1] + [0] * (m - 2) + [-1]
-        want = (
-            LaurentPoly.monomial(profile, (0,) * m + (2,), 1)
-            - LaurentPoly.one(profile)
-            + LaurentPoly.monomial(profile, tuple(xi_plus_w1) + (2 * (m - 1),), 1)
-        )
-        ok = ok and got == want
-    elapsed = time.perf_counter() - t0
-    assert _report(1, "T_sm * 1 closed form, m=2..8", ok, elapsed, 5) and elapsed < 5
+    _criterion(1, "T_sm * 1 closed form, m=2..8", 5, "polyrep", ["tsm"], range(2, 9))
 
 
 def test_criterion_02_main_theorem():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(1, 7):
-        o = springer.structure_sheaf(m)
-        basis = springer.theorem_basis(m)
-        # (a) T_wi O = s^(i(m-i)) L_(-omega_i)
-        for i in range(1, m + 1):
-            got = springer.k_act(t_element(weyl.omega(m, i)), o)
-            want = basis[i] if i < m else o.scale(_gs(-1, 0))
-            ok = ok and got == want
-        # (b) T_si O = v O for i < m
-        for i in range(1, m):
-            ok = ok and springer.k_act(HeckeElt.gen(m, i), o) == o.scale(_gs(0, 2))
-        # (c) T_sm O = -O + s^m L_(-omega_1) + g s^m L_(-omega_(m-1))
-        if m >= 2:
-            got = springer.k_act(HeckeElt.gen(m, m), o)
-            want = (
-                springer.restrict_line_bundle(m, [-1] + [0] * (m - 1)).scale(_gs(0, m))
-                + springer.restrict_line_bundle(m, [-1] * (m - 1) + [0]).scale(_gs(1, m))
-                - o
-            )
-            ok = ok and got == want
-        # (d) the transported matrices satisfy the defining relations
-        ok = ok and theta.check_defining_relations(m) == []
-    elapsed = time.perf_counter() - t0
-    assert _report(2, "module isomorphism + relations, m=1..6", ok, elapsed, 60) and elapsed < 60
+    stems = ["module-isomorphism", "module-relations"]
+    _criterion(2, "module isomorphism + relations, m=1..6", 60, "main-theorem", stems, range(1, 7))
 
 
 def test_criterion_03_freeness():
-    t0 = time.perf_counter()
-    ok = all(not theta.freeness_determinant(m).is_zero() for m in range(1, 7))
-    elapsed = time.perf_counter() - t0
-    assert _report(3, "Tw1-orbit of IC^0 is a basis, m=1..6", ok, elapsed, 10) and elapsed < 10
+    _criterion(3, "Tw1-orbit of IC^0 is a basis, m=1..6", 10, "main-theorem", ["freeness"], range(1, 7))
 
 
 def test_criterion_04_center():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(2, 7):
-        basis = springer.theorem_basis(m)
-        for k in range(1, m + 1):
-            lam = [1] * k + [0] * (m - k)
-            zel = HeckeElt.zero(m)
-            for mu in set(permutations(lam)):
-                zel = zel + HeckeElt.e(mu)
-            scal = springer.res_sigma(orbit_sum(lam), m)
-            for b in basis:
-                ok = ok and springer.k_act(zel, b) == b.scale(scal)
-    elapsed = time.perf_counter() - t0
-    assert _report(4, "elementary symmetric orbit sums act by res_sigma, m=2..6", ok, elapsed, 30) and elapsed < 30
+    label = "elementary symmetric orbit sums act by res_sigma, m=2..6"
+    _criterion(4, label, 30, "springer", ["center"], range(2, 7))
 
 
 def test_criterion_05_hecke_soundness():
@@ -104,38 +57,13 @@ def test_criterion_05_hecke_soundness():
 
 
 def test_criterion_06_basis_system():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(2, 9):
-        tables = springer.declared_bases(m)
-        ok = ok and not tables.system_det.is_zero()
-        ok = ok and springer.bundle_identities_hold(m)
-        ok = ok and springer.exact_sequence_identities_hold(m)
-    elapsed = time.perf_counter() - t0
-    assert _report(6, "Lusztig change-of-basis system, m=2..8", ok, elapsed, 10) and elapsed < 10
+    label = "Lusztig change-of-basis system, m=2..8"
+    _criterion(6, label, 10, "springer", ["declared-bases"], range(2, 9))
 
 
 def test_criterion_07_kernel_stability():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(2, 6):
-        rng = verify._rng(0, "acceptance", "kernel", m)
-        kernel = springer.kernel_vectors(m, degree=2)
-        ok = ok and bool(kernel)
-        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)]
-        gens += [HeckeElt.tw(m, 1), HeckeElt.e((1,) + (0,) * (m - 1))]
-        for _ in range(100):
-            u = LaurentPoly.zero(x_profile(m))
-            for vec in kernel:
-                u = u + vec * rng.randint(-3, 3)
-            ok = ok and all(e.is_zero() for e in springer.pushdown_poly(m, u))
-            for g in gens:
-                acted = polyrep.act(g, u)
-                ok = ok and all(e.is_zero() for e in springer.pushdown_poly(m, acted))
-        if not ok:
-            break
-    elapsed = time.perf_counter() - t0
-    assert _report(7, "100 random kernel elements stay in the kernel, m=2..5", ok, elapsed, 60) and elapsed < 60
+    label = "100 random kernel elements stay in the kernel, m=2..5"
+    _criterion(7, label, 60, "springer", ["kernel-stability"], range(2, 6), cases=100)
 
 
 def test_criterion_08_orbit_combinatorics():
@@ -162,16 +90,8 @@ def test_criterion_08_orbit_combinatorics():
 
 
 def test_criterion_09_weyl_length_oracle():
-    t0 = time.perf_counter()
-    ok = True
-    for m in (1, 2, 3):
-        table = verify.bfs_length_table(m, 2)
-        for lam in product(range(-2, 3), repeat=m):
-            for perm in permutations(range(m)):
-                w = weyl.AffineWeylElt(lam, perm)
-                ok = ok and w in table and table[w] == weyl.length(w)
-    elapsed = time.perf_counter() - t0
-    assert _report(9, "length formula == BFS Cayley-graph distance, m<=3", ok, elapsed, 30) and elapsed < 30
+    label = "length formula == BFS Cayley-graph distance, m<=3"
+    _criterion(9, label, 30, "hecke", ["weyl-length-bfs"], (1, 2, 3))
 
 
 def test_criterion_10_dictionary_report():
@@ -190,7 +110,7 @@ def test_criterion_10_dictionary_report():
         again = theta.dictionary_report(m)
         ok = ok and again == rep
     elapsed = time.perf_counter() - t0
-    assert _report(10, "exactly one twist convention matches; golden report stable, m=2..5", ok, elapsed, 30)
+    assert _report(10, "exactly one twist convention matches; golden report stable, m=2..5", ok, elapsed, 30) and elapsed < 30
 
 
 if __name__ == "__main__":

@@ -59,6 +59,10 @@ def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         HeckeElt.one(2) * HeckeElt.one(3)
     with pytest.raises(ValueError):
+        HeckeElt.one(2) + HeckeElt.one(3)
+    with pytest.raises(ValueError):
+        HeckeElt.one(3) - HeckeElt.one(2)
+    with pytest.raises(ValueError):
         springer.restrict_line_bundle(3, (1, 0))
 
 

@@ -6,15 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from glhecke.laurent import GS_PROFILE, LaurentPoly, parse_poly
+from glhecke.laurent import GS_PROFILE, LaurentPoly
 from glhecke.linalg import (
     RationalFn,
     cramer_solve,
     det_expansion,
     det_laurent,
-    mat_inv,
-    mat_mul,
-    mat_solve,
     nullspace,
 )
 
@@ -85,25 +82,6 @@ def test_cramer_detects_non_integral():
     s = LaurentPoly.variable(GS_PROFILE, "s")
     assert cramer_solve([[g - s]], [one]) is None
     assert cramer_solve([[g - s]], [g * g - s * g]) == [g]
-
-
-def test_mat_solve_and_inverse():
-    g = RationalFn.of(LaurentPoly.variable(GS_PROFILE, "g"))
-    s = RationalFn.of(LaurentPoly.variable(GS_PROFILE, "s"))
-    one = RationalFn.of(LaurentPoly.one(GS_PROFILE))
-    zero = RationalFn.of(LaurentPoly.zero(GS_PROFILE))
-    a = [[g, one], [s, one]]
-    inv = mat_inv(a)
-    prod = mat_mul(a, inv)
-    for i in range(2):
-        for j in range(2):
-            assert prod[i][j] == (one if i == j else zero)
-    sol = mat_solve(a, [[one], [zero]])
-    # x = (1/(g-s), -s/(g-s))
-    gs = parse_poly(GS_PROFILE, "g - s")
-    assert sol[0][0] == RationalFn(LaurentPoly.one(GS_PROFILE), gs)
-    with pytest.raises(ValueError):
-        mat_solve([[one, one], [one, one]], [[one], [one]])
 
 
 def test_nullspace():

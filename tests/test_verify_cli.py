@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from glhecke import verify
+from glhecke import springer, theta, verify
 from glhecke.cli import main
 
 
@@ -37,6 +37,41 @@ def test_run_suite_rejects_bad_input():
         verify.run_suite("nonsense", (1, 2))
     with pytest.raises(ValueError):
         verify.run_suite("hecke", (3, 2))
+
+
+def test_theta_suite_passes_from_m1():
+    report = verify.run_suite("theta", (1, 2), seed=0, cases=5)
+    assert not report.failed
+    assert [c.id for c in report.checks if c.id.startswith("dictionary")] == ["dictionary-m2"]
+
+
+def test_run_check_matches_run_suite():
+    report = verify.run_suite("springer", (3, 3), seed=4, cases=200)
+    for c in report.checks:
+        one = verify.run_check("springer", c.id[: -len("-m3")], 3, seed=4, cases=20)
+        assert (one.id, one.anchor, one.status) == (c.id, c.anchor, c.status)
+    with pytest.raises(ValueError):
+        verify.run_check("springer", "kernel-stability", 1)
+    with pytest.raises(ValueError):
+        verify.run_check("springer", "nonsense", 2)
+
+
+def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch):
+    # adding O to every k_act result breaks the k_act formulas, the defining
+    # relations and the central characters; each suite must say so under its
+    # own id, which shows the shared check functions are not vacuous
+    true_k_act = springer.k_act
+    monkeypatch.setattr(springer, "k_act", lambda h, c: true_k_act(h, c) + springer.structure_sheaf(c.m))
+    monkeypatch.setattr(theta, "_matrix_cache", {})
+    planted = {
+        "springer": {"kact-examples-m2", "center-m2"},
+        "theta": {"defining-relations-m2", "central-characters-m2"},
+        "main-theorem": {"module-isomorphism-m2", "module-relations-m2"},
+    }
+    for suite, ids in planted.items():
+        report = verify.run_suite(suite, (2, 2), seed=0, cases=10)
+        statuses = {c.id: c.status for c in report.checks}
+        assert {statuses[i] for i in ids} == {"fail"}, (suite, statuses)
 
 
 def test_reports_are_deterministic():
@@ -154,7 +189,17 @@ def test_cli_orbits():
 
 
 def test_cli_error_paths():
-    proc = run_cli("eval", "--m", "2", "nonsense")
-    assert proc.returncode == 2
-    proc = run_cli("verify", "hecke", "--m", "0..2")
-    assert proc.returncode == 2
+    for args in (
+        ("eval", "--m", "2", "nonsense"),
+        ("eval", "--m", "2", "T_1 * 1"),
+        ("eval", "--m", "2", "T[1] * x1 $"),
+        ("verify", "hecke", "--m", "0..2"),
+        ("verify", "hecke", "--m", "3..2"),
+        ("verify", "hecke", "--m", "2.."),
+        ("springer", "--m", "-1", "--show", "bases"),
+        ("eval", "--m", "0", "1 * 1"),
+        ("theta", "--m", "1..2", "--matrices"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
