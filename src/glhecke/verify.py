@@ -760,16 +760,25 @@ _TABLES: dict[str, tuple[_Spec, ...]] = {
 SUITES = tuple(_TABLES)
 
 
-def run_check(suite: str, stem: str, m: int, seed: int = 0, cases: int = 1000) -> Check:
-    """Run one registered check at rank m exactly as ``run_suite`` runs it:
-    same id, anchor, rng key and classification.  ``cases`` is the check's
-    own case count (``run_suite`` gives springer checks a tenth of its own)."""
+def _context(suite: str, m: int, seed: int = 0, cases: int = 1000, n: int = 1,
+             bounds: tuple[int, int] = (0, 1)) -> _Ctx:
+    """The context a check of ``suite`` runs in; springer checks draw a
+    tenth of the suite's case count."""
+    if suite == "springer":
+        cases = max(10, cases // 10)
+    return _Ctx(suite, m, seed, cases, n, bounds)
+
+
+def run_check(suite: str, stem: str, m: int) -> Check:
+    """Run one registered check at rank m exactly as ``run_suite`` runs it
+    with its defaults: same id, anchor, rng key, case count and
+    classification."""
     spec = next((s for s in _TABLES.get(suite, ()) if s.stem == stem), None)
     if spec is None:
         raise ValueError(f"no check {stem!r} in suite {suite!r}")
     if not spec.covers(m):
         raise ValueError(f"check {suite}/{stem} is not registered at m={m}")
-    return _run(spec, _Ctx(suite, m, seed, cases))
+    return _run(spec, _context(suite, m))
 
 
 def run_suite(
@@ -786,11 +795,9 @@ def run_suite(
     if m_range[0] > m_range[1] or m_range[0] < 1:
         raise ValueError("empty or invalid m range")
     report = VerificationReport(suite, m_range, seed)
-    if suite == "springer":
-        cases = max(10, cases // 10)
     for m in range(m_range[0], m_range[1] + 1):
         # the orbit checks run once for each first-factor rank up to min(n, m)
         for nn in range(1, min(n, m) + 1) if suite == "orbits" else (n,):
-            c = _Ctx(suite, m, seed, cases, nn, bounds)
+            c = _context(suite, m, seed, cases, nn, bounds)
             report.checks.extend(_run(spec, c) for spec in _TABLES[suite] if spec.covers(m))
     return report
