@@ -42,9 +42,27 @@ def _m_single(text: str) -> int:
     return a
 
 
-def _parse_bounds(text: str) -> tuple[int, int]:
-    a, b = text.split(",")
-    return int(a), int(b)
+def _count(text: str) -> int:
+    """Validate ``--cases`` and ``--n``: an integer >= 1, so no run is vacuous."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _bounds(text: str) -> tuple[int, int]:
+    """Validate ``--bounds``: ``N,r`` with N + r > 0."""
+    lo, _, hi = text.partition(",")
+    try:
+        bound_n, bound_r = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N,r, got {text!r}") from None
+    if bound_n + bound_r <= 0:
+        raise argparse.ArgumentTypeError(f"N + r > 0 required, got {text!r}")
+    return bound_n, bound_r
 
 
 def _split_eval_expression(m: int, text: str):
@@ -84,7 +102,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         cases=args.cases,
         n=args.n,
-        bounds=_parse_bounds(args.bounds),
+        bounds=args.bounds,
     )
     sys.stdout.write(verify.report_text(report))
     if args.json:
@@ -174,15 +192,15 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    bounds = _parse_bounds(args.bounds)
-    labels = theta.enumerate_orbits(args.n, args.m, bounds[0], bounds[1])
+    bound_n, bound_r = args.bounds
+    labels = theta.enumerate_orbits(args.n, args.m, bound_n, bound_r)
     if args.count_only:
         print(len(labels))
         return 0
     payload = {
         "n": args.n,
         "m": args.m,
-        "bounds": {"N": bounds[0], "r": bounds[1]},
+        "bounds": {"N": bound_n, "r": bound_r},
         "count": len(labels),
         "labels": [
             {
@@ -209,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=verify.SUITES)
     p.add_argument("--m", type=_m_range, required=True, help="rank or A..B range")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=1000, help="randomized case count")
-    p.add_argument("--n", type=int, default=1, help="orbits: max first-factor rank")
-    p.add_argument("--bounds", default="0,1", help="orbits: N,r")
+    p.add_argument("--cases", type=_count, default=1000, help="randomized case count")
+    p.add_argument("--n", type=_count, default=1, help="orbits: max first-factor rank")
+    p.add_argument("--bounds", type=_bounds, default="0,1", help="orbits: N,r")
     p.add_argument("--json", help="write the canonical JSON report here")
     p.add_argument("--timings", action="store_true", help="keep elapsed_ms in JSON")
     p.set_defaults(fn=_cmd_verify)
@@ -235,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("orbits", help="orbit labels for the (GL_n, GL_m) pair")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--m", type=_m_single, required=True)
-    p.add_argument("--bounds", required=True, help="N,r")
+    p.add_argument("--bounds", type=_bounds, required=True, help="N,r")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=_cmd_orbits)
     return parser

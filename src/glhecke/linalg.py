@@ -5,8 +5,10 @@ normalization: integer content and monomial content are stripped and exact
 divisions collapsed, but no multivariate gcd is attempted.  Everything stays
 exact; zero tests reduce to zero tests on numerators.
 
-Also: symbolic determinants by permutation expansion (fine for the m <= 8
-matrices that occur here) and rational nullspaces over plain Fractions.
+Also: symbolic determinants over the Laurent ring by fraction-free Bareiss
+elimination (``det_laurent``), with signed permutation expansion
+(``det_expansion``) kept as its independent oracle, and rational nullspaces
+over plain Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "RationalFn",
     "det_laurent",
     "det_expansion",
-    "cramer_solve",
     "nullspace",
 ]
 
@@ -184,28 +185,6 @@ def det_laurent(m: list[list[LaurentPoly]]) -> LaurentPoly:
             a[i][k] = LaurentPoly.zero(profile)
         prev = pkk
     return a[n - 1][n - 1] * sign
-
-
-def cramer_solve(
-    a: list[list[LaurentPoly]], b: list[LaurentPoly]
-) -> list[LaurentPoly] | None:
-    """Solve a x = b over the Laurent ring by Cramer's rule; returns None
-    when the (unique, fraction-field) solution is not Laurent-integral."""
-    n = len(a)
-    det = det_laurent(a)
-    if det.is_zero():
-        raise ValueError("singular matrix")
-    out = []
-    for col in range(n):
-        replaced = [
-            [b[i] if j == col else a[i][j] for j in range(n)] for i in range(n)
-        ]
-        num = det_laurent(replaced)
-        q = num.div_exact(det)
-        if q is None:
-            return None
-        out.append(q)
-    return out
 
 
 def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -36,11 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import polyrep
 from .hecke import HeckeElt
 from .laurent import GS_PROFILE, LaurentPoly, gx_profile, is_symmetric, x_profile
-from .linalg import RationalFn, cramer_solve, det_laurent, nullspace
+from .linalg import RationalFn, det_laurent, nullspace
 
 __all__ = [
     "FixedFlagTable",
@@ -200,27 +201,58 @@ def theorem_basis(m: int) -> list[KClass]:
     return out
 
 
-_basis_cache: dict[int, tuple[list[KClass], list[list[LaurentPoly]], LaurentPoly]] = {}
+class _TheoremData(NamedTuple):
+    """The theorem basis of one rank, det V and adj(V), where V[k][i] is the
+    entry of B_i at p_{k+1}; adj(V) V = det(V) I."""
+
+    basis: list[KClass]
+    det: LaurentPoly
+    adj: list[list[LaurentPoly]]
 
 
-def _theorem_data(m: int):
-    """Theorem basis, its fixed-point matrix V[k][i], and det V."""
+_basis_cache: dict[int, _TheoremData] = {}
+
+
+def _adjugate(v: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
+    """adj(V)[i][k] = (-1)^{i+k} det(V without row k and column i)."""
+    n = len(v)
+    if n == 1:
+        return [[LaurentPoly.one(v[0][0].profile)]]
+    return [
+        [
+            det_laurent(
+                [[x for j, x in enumerate(row) if j != i] for r, row in enumerate(v) if r != k]
+            )
+            * (-1) ** (i + k)
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _theorem_data(m: int) -> _TheoremData:
+    """Theorem basis, det V and adj(V) of rank m, built on first use."""
     got = _basis_cache.get(m)
     if got is None:
         basis = theorem_basis(m)
         vmat = [[basis[i].entries[k] for i in range(m)] for k in range(m)]
-        got = _basis_cache[m] = (basis, vmat, det_laurent(vmat))
+        got = _basis_cache[m] = _TheoremData(basis, det_laurent(vmat), _adjugate(vmat))
     return got
 
 
 def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
-    """Solve for integral coordinates in the theorem basis; raise SpanError
+    """Solve V x = entries as x = adj(V) entries / det V; raise SpanError
     when the tuple leaves the integral span (kernel-stability violation)."""
-    m = len(entries)
-    _, vmat, _ = _theorem_data(m)
-    coords = cramer_solve(vmat, list(entries))
-    if coords is None:
-        raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
+    _, det, adj = _theorem_data(len(entries))
+    coords = []
+    for row in adj:
+        num = LaurentPoly.zero(GS_PROFILE)
+        for a, e in zip(row, entries):
+            num = num + a * e
+        q = num.div_exact(det)
+        if q is None:
+            raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
+        coords.append(q)
     return tuple(coords)
 
 

@@ -262,15 +262,12 @@ def check_defining_relations(m: int, box: list[tuple[int, ...]] | None = None) -
                 failures.append(f"bernstein T[{i}] lam={lam}")
     # e^lam e^mu = e^(lam+mu): the translations act diagonally by line-bundle
     # tuples, so multiplicativity is a pointwise monomial identity ...
-    for lam in box:
-        for mu in box:
+    lines = [springer.restrict_line_bundle(m, lam).entries for lam in box]
+    for lam, l1 in zip(box, lines):
+        for mu, l2 in zip(box, lines):
             combined = [a + b for a, b in zip(lam, mu)]
-            l1 = springer.restrict_line_bundle(m, lam)
-            l2 = springer.restrict_line_bundle(m, mu)
-            l12 = springer.restrict_line_bundle(m, combined)
-            if any(
-                l1.entries[k] * l2.entries[k] != l12.entries[k] for k in range(m)
-            ):
+            l12 = springer.restrict_line_bundle(m, combined).entries
+            if any(l1[k] * l2[k] != l12[k] for k in range(m)):
                 failures.append(f"e-multiplicativity lam={lam} mu={mu}")
     # ... with one composite spot check through the full action path
     eps1 = (1,) + (0,) * (m - 1)

@@ -599,7 +599,7 @@ def _basis_tables(c: _Ctx):
 
 
 def _rank(c: _Ctx):
-    det = springer._theorem_data(c.m)[2]
+    det = springer._theorem_data(c.m).det
     return True if not det.is_zero() else "theorem basis tuple matrix is singular"
 
 

@@ -36,16 +36,16 @@ def test_criterion_01_tsm_closed_form():
 
 def test_criterion_02_main_theorem():
     stems = ["module-isomorphism", "module-relations"]
-    _criterion(2, "module isomorphism + relations, m=1..6", 60, "main-theorem", stems, range(1, 7))
+    _criterion(2, "module isomorphism + relations, m=1..7", 60, "main-theorem", stems, range(1, 8))
 
 
 def test_criterion_03_freeness():
-    _criterion(3, "Tw1-orbit of IC^0 is a basis, m=1..6", 10, "main-theorem", ["freeness"], range(1, 7))
+    _criterion(3, "Tw1-orbit of IC^0 is a basis, m=1..7", 10, "main-theorem", ["freeness"], range(1, 8))
 
 
 def test_criterion_04_center():
-    label = "elementary symmetric orbit sums act by res_sigma, m=2..6"
-    _criterion(4, label, 30, "springer", ["center"], range(2, 7))
+    label = "elementary symmetric orbit sums act by res_sigma, m=2..7"
+    _criterion(4, label, 30, "springer", ["center"], range(2, 8))
 
 
 def test_criterion_05_hecke_soundness():

@@ -1,5 +1,5 @@
-"""Exact linear algebra: rational functions, two determinant routes,
-Cramer solving, and rational nullspaces."""
+"""Exact linear algebra: rational functions, two determinant routes, and
+rational nullspaces."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ import pytest
 from glhecke.laurent import GS_PROFILE, LaurentPoly
 from glhecke.linalg import (
     RationalFn,
-    cramer_solve,
     det_expansion,
     det_laurent,
     nullspace,
@@ -54,34 +53,6 @@ def test_determinant_singular():
     zero = LaurentPoly.zero(GS_PROFILE)
     assert det_laurent([[one, one], [one, one]]).is_zero()
     assert det_laurent([[zero, one], [one, zero]]) == -1 * one
-
-
-def test_cramer_solve_round_trip():
-    rng = random.Random(42)
-    tries = 0
-    while tries < 40:
-        n = rng.randint(1, 3)
-        mat = [[rand_poly(rng, 2) for _ in range(n)] for _ in range(n)]
-        if det_laurent(mat).is_zero():
-            continue
-        tries += 1
-        x = [rand_poly(rng, 2) for _ in range(n)]
-        b = [
-            sum((mat[i][j] * x[j] for j in range(n)), LaurentPoly.zero(GS_PROFILE))
-            for i in range(n)
-        ]
-        got = cramer_solve(mat, b)
-        assert got == x
-
-
-def test_cramer_detects_non_integral():
-    two = LaurentPoly.const(GS_PROFILE, 2)
-    one = LaurentPoly.one(GS_PROFILE)
-    assert cramer_solve([[two]], [one]) is None
-    g = LaurentPoly.variable(GS_PROFILE, "g")
-    s = LaurentPoly.variable(GS_PROFILE, "s")
-    assert cramer_solve([[g - s]], [one]) is None
-    assert cramer_solve([[g - s]], [g * g - s * g]) == [g]
 
 
 def test_nullspace():

@@ -9,6 +9,7 @@ import pytest
 from glhecke import polyrep, springer, weyl
 from glhecke.hecke import HeckeElt, t_element
 from glhecke.laurent import GS_PROFILE, LaurentPoly, orbit_sum, parse_poly, x_profile
+from glhecke.linalg import det_expansion, det_laurent
 
 
 def gs(ge, se, c=1):
@@ -92,14 +93,52 @@ def test_skyscraper_support():
 
 
 def test_theorem_basis_rank():
-    for m in range(1, 7):
-        det = springer._theorem_data(m)[2]
+    for m in range(1, 9):
+        det = springer._theorem_data(m).det
         assert not det.is_zero()
+
+
+def test_cached_adjugate():
+    # V adj(V) = det(V) I, with V[k][i] the entry of B_i at p_(k+1)
+    zero = LaurentPoly.zero(GS_PROFILE)
+    for m in range(1, 8):
+        basis = springer.theorem_basis(m)
+        vmat = [[basis[i].entries[k] for i in range(m)] for k in range(m)]
+        data = springer._theorem_data(m)
+        if m <= 5:
+            assert data.det == det_expansion(vmat)
+        for k in range(m):
+            for j in range(m):
+                got = sum((vmat[k][i] * data.adj[i][j] for i in range(m)), zero)
+                assert got == (data.det if k == j else zero), (m, k, j)
+
+
+def test_k_act_makes_no_determinant_calls_once_warm(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(len(mat))
+        return det_laurent(mat)
+
+    monkeypatch.setattr(springer, "det_laurent", counting)
+    monkeypatch.setattr(springer, "_basis_cache", {})
+    for m in range(2, 6):
+        basis = springer.theorem_basis(m)
+        springer.k_act(HeckeElt.gen(m, 1), basis[0])
+        # det V and the m^2 minors of adj(V), once per rank
+        assert len(calls) == m * m + 1, m
+        calls.clear()
+        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)]
+        gens += [HeckeElt.tw(m, 1), HeckeElt.tw(m, -1), HeckeElt.e((1,) + (0,) * (m - 1))]
+        for h in gens:
+            for b in basis:
+                springer.k_act(h, b)
+        assert calls == [], m
 
 
 def test_coords_round_trip():
     rng = random.Random(31)
-    for m in (2, 3, 4):
+    for m in range(2, 7):
         basis = springer.theorem_basis(m)
         for _ in range(20):
             coeffs = [gs(rng.randint(-1, 1), rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis]
@@ -118,13 +157,13 @@ def test_coords_round_trip():
 
 def test_span_error_reported():
     # a bare skyscraper at p_1 needs the non-integral localization factors
-    m = 3
-    entries = tuple(
-        LaurentPoly.one(GS_PROFILE) if k == 0 else LaurentPoly.zero(GS_PROFILE)
-        for k in range(m)
-    )
-    with pytest.raises(springer.SpanError):
-        springer.coords_in_theorem_basis(entries)
+    for m in range(2, 7):
+        entries = tuple(
+            LaurentPoly.one(GS_PROFILE) if k == 0 else LaurentPoly.zero(GS_PROFILE)
+            for k in range(m)
+        )
+        with pytest.raises(springer.SpanError):
+            springer.coords_in_theorem_basis(entries)
 
 
 def test_k_act_length_zero():

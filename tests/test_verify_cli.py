@@ -200,6 +200,11 @@ def test_cli_error_paths():
         ("springer", "--m", "-1", "--show", "bases"),
         ("eval", "--m", "0", "1 * 1"),
         ("theta", "--m", "1..2", "--matrices"),
+        ("verify", "orbits", "--m", "1..2", "--n", "0"),
+        ("verify", "hecke", "--m", "2", "--cases", "-5"),
+        ("verify", "hecke", "--m", "2", "--cases", "0"),
+        ("verify", "orbits", "--m", "2", "--bounds", "0,0"),
+        ("orbits", "--n", "0", "--m", "2", "--bounds", "0,1"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
