@@ -29,15 +29,15 @@ from .laurent import S_PROFILE, LaurentPoly, _tokenize, demazure_exponents, pars
 
 __all__ = ["HeckeElt", "t_element", "t_inverse", "parse_hecke", "V", "ONE_S"]
 
-V = LaurentPoly(S_PROFILE, {(2,): 1})
-V_INV = LaurentPoly(S_PROFILE, {(-2,): 1})
+V = LaurentPoly.variable(S_PROFILE, "s", 2)
+V_INV = LaurentPoly.variable(S_PROFILE, "s", -2)
 ONE_S = LaurentPoly.one(S_PROFILE)
 V_MINUS_1 = V - ONE_S
 ONE_MINUS_V = ONE_S - V
 
 
 def _s_power(k: int) -> LaurentPoly:
-    return LaurentPoly(S_PROFILE, {(k,): 1})
+    return LaurentPoly.monomial(S_PROFILE, (k,))
 
 
 # reduced words of finite permutations, cached per one-line tuple

@@ -130,6 +130,8 @@ def det_expansion(m: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant by signed permutation expansion; kept as an independent
     oracle for the Bareiss determinant on small matrices."""
     n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
     profile = m[0][0].profile
     total = LaurentPoly.zero(profile)
     for perm in permutations(range(n)):
@@ -161,9 +163,9 @@ def det_laurent(m: list[list[LaurentPoly]]) -> LaurentPoly:
     """Fraction-free Bareiss determinant over the Laurent ring; every
     division in the sweep is exact by the Sylvester identity."""
     n = len(m)
-    profile = m[0][0].profile
     if n == 0:
-        return LaurentPoly.one(profile)
+        raise ValueError("empty matrix")
+    profile = m[0][0].profile
     a = [row[:] for row in m]
     sign = 1
     prev = LaurentPoly.one(profile)

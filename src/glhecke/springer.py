@@ -216,7 +216,7 @@ _basis_cache: dict[int, _TheoremData] = {}
 def _adjugate(v: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
     """adj(V)[i][k] = (-1)^{i+k} det(V without row k and column i)."""
     n = len(v)
-    if n == 1:
+    if n == 1:  # the one minor is 0 x 0, which has no profile to take 1 from
         return [[LaurentPoly.one(v[0][0].profile)]]
     return [
         [

@@ -4,7 +4,12 @@ The module with basis IC^0, ..., IC^{m-1} over Z[g^{+-1}, s^{+-1}] is built
 by transport from the Springer K-module: the unique module isomorphism sends
 the theorem basis B_i = s^{i(m-i)} L_{-omega_i} (B_0 = O) to IC^i, so every
 generator matrix here is literally the matrix of ``springer.k_act`` in the
-theorem basis.  Extended indices wrap by IC^{k+m} = g^{-1} IC^k, and
+theorem basis.  The relations among T[i] and Tw[+-1] are checked on these
+cached matrices, as matrix products.  That is exact: every stage of
+``k_act`` (lift, polynomial action, pushdown, theorem-basis coordinates) is
+linear over Z[g^{+-1}, s^{+-1}], so applying a word of generators to a basis
+vector gives the matching column of the product of their matrices.
+Extended indices wrap by IC^{k+m} = g^{-1} IC^k, and
 multiplication by s stands for the cohomological shift [-1], so a shift [1]
 contributes s^{-1} and IC^{k,!} = IC^k - s^{-1} IC^{k-1}.
 
@@ -26,11 +31,12 @@ the bounds (N, r) form the box -N <= lam_i <= r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations, product
 
-from . import springer
+from . import polyrep, springer
 from .hecke import HeckeElt
-from .laurent import GS_PROFILE, LaurentPoly, demazure_exponents
+from .laurent import GS_PROFILE, LaurentPoly, demazure_exponents, gx_profile
 from .linalg import det_laurent
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "theta_action_matrices",
     "generator_keys",
     "check_defining_relations",
+    "check_conjugation",
     "freeness_determinant",
     "ic_sheaf_dictionary",
     "dictionary_report",
@@ -54,6 +61,11 @@ _ZERO = LaurentPoly.zero(GS_PROFILE)
 
 def _gs(ge: int, se: int, c: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(GS_PROFILE, (ge, se), c)
+
+
+_S_INV = _gs(0, -1)
+_S = _gs(0, 1)
+_V = _gs(0, 2)
 
 
 PolyMatrix = list[list[LaurentPoly]]
@@ -124,11 +136,7 @@ def generator_keys(m: int) -> list[str]:
     return keys
 
 
-def _generator_element(m: int, key: str) -> HeckeElt | None:
-    if key == "g":
-        return None
-    if key == "s":
-        return None
+def _generator_element(m: int, key: str) -> HeckeElt:
     if key.startswith("T["):
         return HeckeElt.gen(m, int(key[2:-1]))
     if key.startswith("Tw["):
@@ -145,28 +153,34 @@ def _matrix_of(m: int, h: HeckeElt) -> PolyMatrix:
     return [[cols[j][i] for j in range(m)] for i in range(m)]
 
 
+def _scalar_matrix(m: int, c: LaurentPoly) -> PolyMatrix:
+    return [[c if i == j else _ZERO for j in range(m)] for i in range(m)]
+
+
+_SCALARS = {"g": _gs(1, 0), "s": _S}
 _matrix_cache: dict[tuple[int, str], PolyMatrix] = {}
+
+
+def _matrix(m: int, key: str) -> PolyMatrix:
+    """The cached matrix of a generator key, or of ``Tw[-1]``, in the basis
+    IC^0..IC^{m-1}."""
+    got = _matrix_cache.get((m, key))
+    if got is None:
+        if key in _SCALARS:
+            got = _scalar_matrix(m, _SCALARS[key])
+        else:
+            got = _matrix_of(m, _generator_element(m, key))
+        _matrix_cache[(m, key)] = got
+    return got
 
 
 def theta_action_matrices(m: int) -> dict[str, PolyMatrix]:
     """Generator matrices in the basis IC^0..IC^{m-1}; entries are exact
     Laurent polynomials in g and s (integrality is enforced, not assumed)."""
-    out: dict[str, PolyMatrix] = {}
-    for key in generator_keys(m):
-        got = _matrix_cache.get((m, key))
-        if got is None:
-            if key == "g":
-                got = [[_gs(1, 0) if i == j else _ZERO for j in range(m)] for i in range(m)]
-            elif key == "s":
-                got = [[_gs(0, 1) if i == j else _ZERO for j in range(m)] for i in range(m)]
-            else:
-                got = _matrix_of(m, _generator_element(m, key))
-            _matrix_cache[(m, key)] = got
-        out[key] = got
-    return out
+    return {key: _matrix(m, key) for key in generator_keys(m)}
 
 
-# -- defining relations, verified on the spanning basis ------------------------
+# -- defining relations, checked on the cached matrices ------------------------
 
 
 def _default_box(m: int) -> list[tuple[int, ...]]:
@@ -188,78 +202,77 @@ def _default_box(m: int) -> list[tuple[int, ...]]:
     return sorted(box)
 
 
-def check_defining_relations(m: int, box: list[tuple[int, ...]] | None = None) -> list[str]:
-    """Verify the Hecke presentation on the transported module by applying
-    both sides of every relation to the spanning basis; returns the violated
-    relations (empty means the action is a genuine module structure)."""
-    from . import polyrep
-    from .laurent import LaurentPoly as _LP
+def check_conjugation(m: int) -> list[str]:
+    """Check Tw[1] Tw[-1] = 1 and Tw[1] T[i] Tw[-1] = T[i+1] (indices mod m)
+    on the cached matrices: conjugation by the length-zero generator rotates
+    the nodes.  Returns the violated relations."""
+    if m < 2:
+        return []
+    failures: list[str] = []
+    w, winv = _matrix(m, "Tw[1]"), _matrix(m, "Tw[-1]")
+    if _poly_mat_mul(w, winv) != _scalar_matrix(m, _ONE):
+        failures.append("Tw[1] inverse")
+    for i in range(1, m + 1):
+        conj = reduce(_poly_mat_mul, [w, _matrix(m, f"T[{i}]"), winv])
+        if conj != _matrix(m, f"T[{i % m + 1}]"):
+            failures.append(f"conjugation Tw[1] T[{i}]")
+    return failures
 
+
+def check_defining_relations(m: int) -> list[str]:
+    """Verify the Hecke presentation on the transported module; returns the
+    violated relations (empty means the action is a genuine module structure).
+
+    The relations among T[i] and Tw[+-1] are compared as products of the
+    cached generator matrices; the Bernstein relation is checked on lifted
+    vectors and e-multiplicativity on line-bundle tuples, with one composite
+    spot check through ``springer.k_act``."""
     failures: list[str] = []
     basis = springer.theorem_basis(m)
-    v_poly = _gs(0, 2)
-    gens = {i: HeckeElt.gen(m, i) for i in range(1, m + 1)} if m >= 2 else {}
-
-    def act_chain(elts, b):
-        out = b
-        for h in reversed(elts):
-            out = springer.k_act(h, out)
-        return out
+    t = {i: _matrix(m, f"T[{i}]") for i in range(1, m + 1)} if m >= 2 else {}
 
     # quadratic: T_i^2 = (v - 1) T_i + v
-    for i, t in gens.items():
-        for b in basis:
-            tb = springer.k_act(t, b)
-            lhs = springer.k_act(t, tb)
-            rhs = tb.scale(v_poly - _ONE) + b.scale(v_poly)
-            if lhs != rhs:
-                failures.append(f"quadratic T[{i}]")
-                break
+    v_minus_1 = _V - _ONE
+    for i, ti in t.items():
+        rhs = [
+            [x * v_minus_1 + (_V if a == b else _ZERO) for b, x in enumerate(row)]
+            for a, row in enumerate(ti)
+        ]
+        if _poly_mat_mul(ti, ti) != rhs:
+            failures.append(f"quadratic T[{i}]")
     # braid: cyclic adjacency for m >= 3; m = 2 has no braid relation
     if m >= 3:
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 adjacent = (j - i) % m in (1, m - 1)
-                a, b_ = gens[i], gens[j]
-                word_l = [a, b_, a] if adjacent else [a, b_]
-                word_r = [b_, a, b_] if adjacent else [b_, a]
-                tag = f"{'braid' if adjacent else 'commute'} T[{i}],T[{j}]"
-                for b in basis:
-                    if act_chain(word_l, b) != act_chain(word_r, b):
-                        failures.append(tag)
-                        break
+                a, b = t[i], t[j]
+                word_l = [a, b, a] if adjacent else [a, b]
+                word_r = [b, a, b] if adjacent else [b, a]
+                if reduce(_poly_mat_mul, word_l) != reduce(_poly_mat_mul, word_r):
+                    failures.append(f"{'braid' if adjacent else 'commute'} T[{i}],T[{j}]")
     # Bernstein commutation via the telescoping identity, finite nodes.
     # Checked at the level of lifted vectors pushed down to tuples, which is
     # the operator identity on the module span.
-    if box is None:
-        box = _default_box(m)
-    profile = None
-    lifts = []
-    for b in basis:
-        lift = springer._lift(m, b.coords)
-        lifts.append(lift)
-        profile = lift.profile
+    box = _default_box(m)
+    lifts = [springer._lift(m, b.coords) for b in basis]
+    profile = gx_profile(m)
+    one_minus_v = LaurentPoly.one(profile) - LaurentPoly.variable(profile, "s", 2)
     for i in range(1, m):
         for lam in box:
             slam = list(lam)
             slam[i - 1], slam[i] = slam[i], slam[i - 1]
-            ok = True
             for lift in lifts:
                 t_lift = polyrep.act_T(i, lift, m)
                 lhs = polyrep.act_T(i, polyrep.act_e(slam, lift, m), m)
                 rhs = polyrep.act_e(lam, t_lift, m)
-                corr = _LP.zero(profile)
+                corr = LaurentPoly.zero(profile)
                 for nu, sign in demazure_exponents(lam, i):
                     piece = polyrep.act_e(nu, lift, m)
                     corr = corr + piece if sign > 0 else corr - piece
-                omv = _LP(profile, {(0,) * (len(profile) - 1) + (2,): -1,
-                                    (0,) * len(profile): 1})
-                rhs = rhs + omv * corr
+                rhs = rhs + one_minus_v * corr
                 if any(not e.is_zero() for e in springer.pushdown_poly(m, lhs - rhs)):
-                    ok = False
+                    failures.append(f"bernstein T[{i}] lam={lam}")
                     break
-            if not ok:
-                failures.append(f"bernstein T[{i}] lam={lam}")
     # e^lam e^mu = e^(lam+mu): the translations act diagonally by line-bundle
     # tuples, so multiplicativity is a pointwise monomial identity ...
     lines = [springer.restrict_line_bundle(m, lam).entries for lam in box]
@@ -278,22 +291,7 @@ def check_defining_relations(m: int, box: list[tuple[int, ...]] | None = None) -
         if lhs != springer.k_act(HeckeElt.e(both), b):
             failures.append("e-multiplicativity through k_act")
             break
-    # conjugation by the length-zero generator rotates the nodes
-    if m >= 2:
-        w1 = HeckeElt.tw(m, 1)
-        w1inv = HeckeElt.tw(m, -1)
-        for b in basis:
-            if springer.k_act(w1, springer.k_act(w1inv, b)) != b:
-                failures.append("Tw[1] inverse")
-                break
-        for i in range(1, m + 1):
-            target = gens[i % m + 1]
-            for b in basis:
-                lhs = springer.k_act(w1, springer.k_act(gens[i], springer.k_act(w1inv, b)))
-                if lhs != springer.k_act(target, b):
-                    failures.append(f"conjugation Tw[1] T[{i}]")
-                    break
-    return failures
+    return failures + check_conjugation(m)
 
 
 def freeness_determinant(m: int) -> LaurentPoly:
@@ -312,26 +310,17 @@ def freeness_determinant(m: int) -> LaurentPoly:
 # -- the sheaf-function dictionary ---------------------------------------------
 
 
-_S_INV = _gs(0, -1)
-_S = _gs(0, 1)
-_V = _gs(0, 2)
-
-
 def _ls_operator(m: int, i: int, convention: str, shriek: bool) -> PolyMatrix:
-    t = theta_action_matrices(m)[f"T[{i}]"]
-    ident = [[_ONE if a == b else _ZERO for b in range(m)] for a in range(m)]
+    """[L_{s_i}] = c (T[i] + d) and [L_{s_i,!}] = c T[i] under one twist
+    convention (see the module docstring)."""
     if convention == "A":
-        if shriek:
-            return [[t[a][b] * _S_INV for b in range(m)] for a in range(m)]
-        return [[(t[a][b] + ident[a][b]) * _S_INV for b in range(m)] for a in range(m)]
-    if convention == "B":
-        if shriek:
-            return [[t[a][b] * _S_INV * -1 for b in range(m)] for a in range(m)]
-        return [
-            [(t[a][b] - (_V if a == b else _ZERO)) * _S_INV * -1 for b in range(m)]
-            for a in range(m)
-        ]
-    raise ValueError(f"convention must be 'A' or 'B', got {convention!r}")
+        c, d = _S_INV, _ONE
+    elif convention == "B":
+        c, d = -_S_INV, -_V
+    else:
+        raise ValueError(f"convention must be 'A' or 'B', got {convention!r}")
+    t, shift = _matrix(m, f"T[{i}]"), _scalar_matrix(m, _ZERO if shriek else d)
+    return [[(x + y) * c for x, y in zip(t_row, s_row)] for t_row, s_row in zip(t, shift)]
 
 
 FORMULA_IDS = [
@@ -378,9 +367,9 @@ def ic_sheaf_dictionary(m: int, convention: str) -> dict[str, bool]:
     results[FORMULA_IDS[1]] = ok2
     results[FORMULA_IDS[2]] = ok3
     results[FORMULA_IDS[3]] = ok4
-    w = theta_action_matrices(m)["Tw[1]"]
+    w = _matrix(m, "Tw[1]")
     ok5 = True
-    power = [[_ONE if a == b else _ZERO for b in range(m)] for a in range(m)]
+    power = _scalar_matrix(m, _ONE)
     for i in range(1, m + 1):
         power = _poly_mat_mul(w, power)
         for k in range(m):

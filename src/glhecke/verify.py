@@ -103,12 +103,11 @@ def report_text(report: VerificationReport) -> str:
 
 
 def _random_s_poly(rng: random.Random) -> LaurentPoly:
-    terms = {}
+    items = []
     for _ in range(rng.randint(1, 2)):
         c = rng.choice([-2, -1, 1, 2])
-        k = rng.randint(-1, 1)
-        terms[(k,)] = terms.get((k,), 0) + c
-    poly = LaurentPoly(S_PROFILE, {k: v for k, v in terms.items() if v})
+        items.append(((rng.randint(-1, 1),), c))
+    poly = LaurentPoly.from_terms(S_PROFILE, items)
     return poly if not poly.is_zero() else LaurentPoly.one(S_PROFILE)
 
 
@@ -634,18 +633,8 @@ def _matrices(c: _Ctx):
 
 
 def _cyclic(c: _Ctx):
-    m = c.m
-    if m < 2:
-        return True
-    mats = theta.theta_action_matrices(m)
-    w = mats["Tw[1]"]
-    winv = theta._matrix_of(m, HeckeElt.tw(m, -1))
-    for i in range(1, m + 1):
-        j = weyl.conjugate_simple(m, i, 1)
-        conj = theta._poly_mat_mul(theta._poly_mat_mul(w, mats[f"T[{i}]"]), winv)
-        if conj != mats[f"T[{j}]"]:
-            return f"cyclic conjugation failure T[{i}] -> T[{j}]"
-    return True
+    fails = theta.check_conjugation(c.m)
+    return True if not fails else "; ".join(fails)
 
 
 def _dictionary(c: _Ctx):

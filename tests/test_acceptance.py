@@ -36,11 +36,11 @@ def test_criterion_01_tsm_closed_form():
 
 def test_criterion_02_main_theorem():
     stems = ["module-isomorphism", "module-relations"]
-    _criterion(2, "module isomorphism + relations, m=1..7", 60, "main-theorem", stems, range(1, 8))
+    _criterion(2, "module isomorphism + relations, m=1..8", 60, "main-theorem", stems, range(1, 9))
 
 
 def test_criterion_03_freeness():
-    _criterion(3, "Tw1-orbit of IC^0 is a basis, m=1..7", 10, "main-theorem", ["freeness"], range(1, 8))
+    _criterion(3, "Tw1-orbit of IC^0 is a basis, m=1..8", 10, "main-theorem", ["freeness"], range(1, 9))
 
 
 def test_criterion_04_center():

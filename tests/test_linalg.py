@@ -55,6 +55,12 @@ def test_determinant_singular():
     assert det_laurent([[zero, one], [one, zero]]) == -1 * one
 
 
+def test_empty_matrix_rejected():
+    for det in (det_laurent, det_expansion):
+        with pytest.raises(ValueError, match="empty matrix"):
+            det([])
+
+
 def test_nullspace():
     rows = [
         [Fraction(1), Fraction(1), Fraction(0)],

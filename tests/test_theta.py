@@ -63,8 +63,55 @@ def test_matrices_present_and_integral():
 
 
 def test_defining_relations():
-    for m in range(1, 5):
+    for m in range(1, 7):
         assert theta.check_defining_relations(m) == []
+
+
+def _relation_words(m):
+    """Every word of generator keys whose matrix product the relation checks
+    compare, innermost factor last."""
+    words = [["Tw[1]", "Tw[-1]"]]
+    for i in range(1, m + 1):
+        words.append([f"T[{i}]", f"T[{i}]"])
+        words.append(["Tw[1]", f"T[{i}]", "Tw[-1]"])
+        for j in range(i + 1, m + 1):
+            words.append([f"T[{i}]", f"T[{j}]", f"T[{i}]"])
+            words.append([f"T[{j}]", f"T[{i}]", f"T[{j}]"])
+            words.append([f"T[{i}]", f"T[{j}]"])
+            words.append([f"T[{j}]", f"T[{i}]"])
+    return words
+
+
+def test_relation_words_match_kact_chain():
+    # the oracle for checking relations on matrices: the column of a product
+    # is the k_act chain applied to the same theorem-basis vector
+    for m in (2, 3, 4):
+        basis = springer.theorem_basis(m)
+        for word in _relation_words(m):
+            prod = theta._matrix(m, word[0])
+            for key in word[1:]:
+                prod = theta._poly_mat_mul(prod, theta._matrix(m, key))
+            for j, b in enumerate(basis):
+                chain = b
+                for key in reversed(word):
+                    chain = springer.k_act(theta._generator_element(m, key), chain)
+                col = tuple(prod[i][j] for i in range(m))
+                assert chain.coords == col, (m, word, j)
+                entries = tuple(
+                    sum((c * bi.entries[k] for c, bi in zip(col, basis)), LaurentPoly.zero(GS_PROFILE))
+                    for k in range(m)
+                )
+                assert chain.entries == entries, (m, word, j)
+
+
+def test_planted_matrix_fault_fails_relations(monkeypatch):
+    from glhecke import verify
+
+    bad = [row[:] for row in theta._matrix(3, "T[1]")]
+    bad[0][0] = bad[0][0] + LaurentPoly.one(GS_PROFILE)
+    monkeypatch.setattr(theta, "_matrix_cache", {(3, "T[1]"): bad})
+    assert "quadratic T[1]" in theta.check_defining_relations(3)
+    assert verify.run_check("theta", "cyclic-symmetry", 3).status == "fail"
 
 
 def test_freeness():
@@ -111,10 +158,8 @@ def test_matrix_of_is_multiplicative():
 
 
 def test_omega_inverse_shifts_down():
-    from glhecke.hecke import HeckeElt
-
     for m in (2, 3, 4):
-        winv = theta._matrix_of(m, HeckeElt.tw(m, -1))
+        winv = theta._matrix(m, "Tw[-1]")
         for k in range(m):
             got = theta.mat_vec(winv, theta.ThetaVector.ic(m, k))
             assert got.coords == theta.ThetaVector.ic(m, k - 1).coords

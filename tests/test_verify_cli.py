@@ -1,6 +1,7 @@
 """The verification harness and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 
 from glhecke import springer, theta, verify
 from glhecke.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(*args):
@@ -73,6 +76,15 @@ def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch):
         report = verify.run_suite(suite, (2, 2), seed=0, cases=10)
         statuses = {c.id: c.status for c in report.checks}
         assert {statuses[i] for i in ids} == {"fail"}, (suite, statuses)
+
+
+def test_canonical_reports_match_golden():
+    # the goldens are `glhecke verify <suite> --m 1..B --seed 0 --json`
+    # output; a refactor must leave these canonical reports byte-identical
+    for suite, hi in (("theta", 4), ("main-theorem", 6)):
+        report = verify.run_suite(suite, (1, hi), seed=0)
+        with open(os.path.join(GOLDEN, f"verify_{suite}_m1-{hi}_seed0.json")) as fh:
+            assert verify.report_json(report) == fh.read(), suite
 
 
 def test_reports_are_deterministic():
