@@ -8,7 +8,9 @@ Subcommands:
   theta --m M --matrices [--json PATH]
   orbits --n N --m M --bounds N,r [--count-only]
 
-Set GLHECKE_MAX_TERMS to cap polynomial term counts (CI memory limits).
+Set GLHECKE_MAX_TERMS to a positive integer to cap the term count of every
+polynomial sum and product (CI memory limits).  It is read once, at startup;
+any other non-empty value is rejected with exit code 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 from . import springer, theta, verify
 from .hecke import parse_hecke
-from .laurent import parse_poly, x_profile
+from .laurent import check_term_cap, parse_poly, x_profile
 from .polyrep import act
 
 
@@ -264,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_term_cap()
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

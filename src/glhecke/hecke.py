@@ -32,8 +32,9 @@ __all__ = ["HeckeElt", "t_element", "t_inverse", "parse_hecke", "V", "ONE_S"]
 V = LaurentPoly.variable(S_PROFILE, "s", 2)
 V_INV = LaurentPoly.variable(S_PROFILE, "s", -2)
 ONE_S = LaurentPoly.one(S_PROFILE)
-V_MINUS_1 = V - ONE_S
-ONE_MINUS_V = ONE_S - V
+# built from terms, not by arithmetic, so importing never meets GLHECKE_MAX_TERMS
+V_MINUS_1 = LaurentPoly.from_terms(S_PROFILE, (((2,), 1), ((0,), -1)))
+ONE_MINUS_V = LaurentPoly.from_terms(S_PROFILE, (((2,), -1), ((0,), 1)))
 
 
 def _s_power(k: int) -> LaurentPoly:
@@ -176,9 +177,13 @@ class HeckeElt:
             else:
                 bump(swl, w, V_MINUS_1 * c)
                 bump(swl, sw, V * c)
-            cdq = ONE_MINUS_V * c
-            for mu, sign in demazure_exponents(swl, i):
-                bump(mu, w, cdq if sign > 0 else -1 * cdq)
+            # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; all signs of
+            # one expansion agree, so the sign goes into the (1 - v) factor
+            exps = demazure_exponents(swl, i)
+            if exps:
+                cdq = (ONE_MINUS_V if exps[0][1] > 0 else V_MINUS_1) * c
+                for mu, _ in exps:
+                    bump(mu, w, cdq)
         return HeckeElt(m, out)
 
     def right_mul_gen(self, i: int) -> "HeckeElt":

@@ -25,6 +25,7 @@ text grammar like ``3*s^-2*x1^2 - x2``.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "LaurentPoly",
     "ProfileMismatchError",
     "TermBudgetError",
+    "check_term_cap",
     "parse_poly",
     "demazure_exponents",
     "demazure_quotient",
@@ -66,9 +68,23 @@ class TermBudgetError(RuntimeError):
     """Raised when a result would exceed the GLHECKE_MAX_TERMS cap."""
 
 
-def _term_cap() -> int | None:
-    raw = os.environ.get("GLHECKE_MAX_TERMS")
-    return int(raw) if raw else None
+# GLHECKE_MAX_TERMS, read once per process: a positive integer caps the term
+# count of every sum and product.  Unset or empty means no cap; so does any
+# other value here, and the CLI rejects it at startup through check_term_cap.
+_CAP_TEXT = os.environ.get("GLHECKE_MAX_TERMS", "")
+_CAP_MALFORMED = bool(_CAP_TEXT) and not (_CAP_TEXT.isdecimal() and int(_CAP_TEXT) > 0)
+_MAX_TERMS = int(_CAP_TEXT) if _CAP_TEXT and not _CAP_MALFORMED else sys.maxsize
+
+
+def check_term_cap() -> None:
+    """Raise ValueError unless GLHECKE_MAX_TERMS is unset, empty or a
+    positive integer."""
+    if _CAP_MALFORMED:
+        raise ValueError(f"GLHECKE_MAX_TERMS must be a positive integer, got {_CAP_TEXT!r}")
+
+
+def _over_budget(n: int) -> TermBudgetError:
+    return TermBudgetError(f"{n} terms exceeds GLHECKE_MAX_TERMS={_MAX_TERMS}")
 
 
 class LaurentPoly:
@@ -162,6 +178,8 @@ class LaurentPoly:
                 terms[key] = c2
             else:
                 del terms[key]
+        if len(terms) > _MAX_TERMS:
+            raise _over_budget(len(terms))
         return LaurentPoly(self.profile, terms)
 
     def __neg__(self) -> "LaurentPoly":
@@ -176,6 +194,8 @@ class LaurentPoly:
                 terms[key] = c2
             else:
                 del terms[key]
+        if len(terms) > _MAX_TERMS:
+            raise _over_budget(len(terms))
         return LaurentPoly(self.profile, terms)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -187,7 +207,22 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1:
+        if len(self.profile) == 1:
+            # Z[s^-1, s]: one exponent per key, added without the generic zip
+            if len(a) == 1:
+                (((ea,), ca),) = a.items()
+                out = {(ea + eb,): ca * cb for (eb,), cb in b.items()}
+            else:
+                out = {}
+                for (ea,), ca in a.items():
+                    for (eb,), cb in b.items():
+                        key = (ea + eb,)
+                        c2 = out.get(key, 0) + ca * cb
+                        if c2:
+                            out[key] = c2
+                        else:
+                            del out[key]
+        elif len(a) == 1:
             ((ka, ca),) = a.items()
             if all(e == 0 for e in ka):
                 out = {kb: ca * cb for kb, cb in b.items()}
@@ -196,19 +231,18 @@ class LaurentPoly:
                     tuple(x + y for x, y in zip(ka, kb)): ca * cb
                     for kb, cb in b.items()
                 }
-            return LaurentPoly(self.profile, out)
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                c2 = out.get(key, 0) + ca * cb
-                if c2:
-                    out[key] = c2
-                else:
-                    del out[key]
-        cap = _term_cap()
-        if cap is not None and len(out) > cap:
-            raise TermBudgetError(f"{len(out)} terms exceeds GLHECKE_MAX_TERMS={cap}")
+        else:
+            out = {}
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    key = tuple(x + y for x, y in zip(ka, kb))
+                    c2 = out.get(key, 0) + ca * cb
+                    if c2:
+                        out[key] = c2
+                    else:
+                        del out[key]
+        if len(out) > _MAX_TERMS:
+            raise _over_budget(len(out))
         return LaurentPoly(self.profile, out)
 
     __rmul__ = __mul__

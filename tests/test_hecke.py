@@ -5,6 +5,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glhecke import weyl
 from glhecke.hecke import (
@@ -181,3 +183,61 @@ def test_literals_round_trip():
         parse_hecke(2, "e[1]")
     with pytest.raises(ValueError):
         parse_hecke(2, "T[1")
+
+
+# -- algebra axioms on random elements (Hypothesis) ----------------------------
+
+s_coeffs = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-3, 3)), min_size=1, max_size=3
+).map(lambda items: LaurentPoly.from_terms(S_PROFILE, (((e,), c) for e, c in items)))
+
+
+@st.composite
+def hecke_elts(draw, m):
+    out = HeckeElt.zero(m)
+    for _ in range(draw(st.integers(1, 2))):
+        lam = draw(st.tuples(*[st.integers(-1, 1)] * m))
+        perm = tuple(draw(st.permutations(range(m))))
+        out = out + HeckeElt.basis(m, lam, perm, draw(s_coeffs))
+    return out
+
+
+@st.composite
+def hecke_triples(draw):
+    m = draw(st.sampled_from([2, 3]))
+    return tuple(draw(hecke_elts(m)) for _ in range(3))
+
+
+def convolve(f, g):
+    """Product in the group algebra of the extended affine Weyl group."""
+    out = {}
+    for x, cx in f.items():
+        for y, cy in g.items():
+            out[x * y] = out.get(x * y, 0) + cx * cy
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(hecke_triples())
+def test_product_associative_property(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hecke_triples(), s_coeffs)
+def test_product_bilinear_property(abc, p):
+    a, b, c = abc
+    assert (a + b) * c == a * c + b * c
+    assert c * (a - b) == c * a - c * b
+    ab = (a * b).scale(p)
+    assert a.scale(p) * b == ab
+    assert a * b.scale(p) == ab
+    assert a.scale(-2) * b == (a * b).scale(-2)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(hecke_triples())
+def test_s_one_collapse_property(abc):
+    a, b, _ = abc
+    assert (a * b).at_s_one() == convolve(a.at_s_one(), b.at_s_one())

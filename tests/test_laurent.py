@@ -1,13 +1,18 @@
 """Ring arithmetic, the telescoping quotient, orbit sums, specialization,
 and the literal grammar."""
 
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glhecke import laurent
 from glhecke.laurent import (
     GS_PROFILE,
     S_PROFILE,
@@ -132,6 +137,39 @@ def test_ring_axioms_property(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@st.composite
+def s_pairs(draw):
+    """Two S_PROFILE polynomials; the second is often a monomial, the negation
+    of the first (the sum cancels to zero) or its image under s -> -s (the
+    odd terms of the product cancel)."""
+    p = draw(polys(S_PROFILE))
+    kind = draw(st.sampled_from(["any", "monomial", "negation", "mirror"]))
+    if kind == "monomial":
+        q = mono(S_PROFILE, (draw(st.integers(-4, 4)),), draw(st.sampled_from([-2, -1, 1, 3])))
+    elif kind == "negation":
+        q = -p
+    elif kind == "mirror":
+        q = LaurentPoly(S_PROFILE, {k: -c if k[0] % 2 else c for k, c in p.terms.items()})
+    else:
+        q = draw(polys(S_PROFILE))
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+def embed_gs(p):
+    return LaurentPoly(GS_PROFILE, {(0,) + k: c for k, c in p.terms.items()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s_pairs())
+def test_one_variable_branch_matches_generic_path(pair):
+    # products and sums over ('s',) agree with the n-variable code over ('g', 's')
+    p, q = pair
+    assert embed_gs(p * q) == embed_gs(p) * embed_gs(q)
+    assert embed_gs(p + q) == embed_gs(p) + embed_gs(q)
+    assert embed_gs(p - q) == embed_gs(p) - embed_gs(q)
+    assert p * q == dense_mul(p, q)
+
+
 # -- the telescoping quotient -----------------------------------------------------
 
 
@@ -250,10 +288,66 @@ def test_div_exact():
     assert (x1 * x1 - s * s).div_exact(x1 - s) == x1 + s
 
 
+# -- the GLHECKE_MAX_TERMS cap --------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+BUDGET_SCRIPT = """
+from glhecke.laurent import LaurentPoly, TermBudgetError, x_profile
+# x1 + x2 + s + 1, built without a sum, which a cap of 3 would stop
+keys = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+a = LaurentPoly.from_terms(x_profile(2), ((k, 1) for k in keys))
+try:
+    print(len((a ** 2).terms))
+except TermBudgetError:
+    print("TermBudgetError")
+"""
+
+
 def test_term_budget(monkeypatch):
-    monkeypatch.setenv("GLHECKE_MAX_TERMS", "3")
     a = parse_poly(X2, "x1 + x2 + s + 1")
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
     with pytest.raises(TermBudgetError):
-        a * a
-    monkeypatch.delenv("GLHECKE_MAX_TERMS")
-    assert len((a * a).terms) == 10
+        a**2
+    monkeypatch.undo()
+    assert len((a**2).terms) == 10
+
+
+def test_term_budget_read_from_environment():
+    # the cap is parsed once, at import, so only a fresh interpreter sees it
+    outputs = []
+    for cap in ("3", ""):
+        env = {**os.environ, "PYTHONPATH": SRC, "GLHECKE_MAX_TERMS": cap}
+        proc = subprocess.run(
+            [sys.executable, "-c", BUDGET_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.strip())
+    assert outputs == ["TermBudgetError", "10"]
+
+
+X_PAIR = [(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "profile, keys_a, keys_b, op",
+    [
+        pytest.param(X2, [(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], operator.mul,
+                     id="mul-single-term"),
+        pytest.param(S_PROFILE, [(1,)], [(0,), (1,), (2,), (-3,)], operator.mul,
+                     id="mul-one-variable-single-term"),
+        pytest.param(S_PROFILE, [(0,), (1,)], [(0,), (2,)], operator.mul, id="mul-one-variable"),
+        pytest.param(X2, *X_PAIR, operator.mul, id="mul-generic"),
+        pytest.param(X2, *X_PAIR, operator.add, id="add"),
+        pytest.param(X2, *X_PAIR, operator.sub, id="sub"),
+    ],
+)
+def test_term_budget_on_every_path(monkeypatch, profile, keys_a, keys_b, op):
+    # each operation makes exactly 4 terms: a cap of 4 lets it through, 3 does not
+    a = LaurentPoly.from_terms(profile, ((k, 1) for k in keys_a))
+    b = LaurentPoly.from_terms(profile, ((k, 1) for k in keys_b))
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 4)
+    assert len(op(a, b).terms) == 4
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
+    with pytest.raises(TermBudgetError):
+        op(a, b)

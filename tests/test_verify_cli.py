@@ -13,11 +13,12 @@ from glhecke.cli import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "glhecke.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc
 
@@ -221,3 +222,8 @@ def test_cli_error_paths():
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == "", args
+    for cap in ("abc", "0", "-5"):
+        proc = run_cli("verify", "hecke", "--m", "2", env={"GLHECKE_MAX_TERMS": cap})
+        assert proc.returncode == 2, cap
+        assert proc.stdout == "", cap
+        assert "GLHECKE_MAX_TERMS" in proc.stderr, cap
