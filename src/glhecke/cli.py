@@ -11,6 +11,11 @@ Subcommands:
 Set GLHECKE_MAX_TERMS to a positive integer to cap the term count of every
 polynomial sum and product (CI memory limits).  It is read once, at startup;
 any other non-empty value is rejected with exit code 2.
+
+``verify`` exits 0 when every check passes, 1 when a check fails, 2 on bad
+input, and 3 when a check hit the term cap, memory or the recursion limit
+(status ``error``), so its identity was not decided.  A failure takes
+precedence: a run with both a failed and an errored check exits 1.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(verify.report_json(report, include_elapsed=args.timings))
-    return 1 if report.failed else 0
+    return 1 if report.failed else 3 if report.errored else 0
 
 
 def _cmd_eval(args) -> int:

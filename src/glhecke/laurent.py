@@ -39,6 +39,7 @@ __all__ = [
     "ProfileMismatchError",
     "TermBudgetError",
     "check_term_cap",
+    "check_terms",
     "parse_poly",
     "demazure_exponents",
     "demazure_quotient",
@@ -83,8 +84,11 @@ def check_term_cap() -> None:
         raise ValueError(f"GLHECKE_MAX_TERMS must be a positive integer, got {_CAP_TEXT!r}")
 
 
-def _over_budget(n: int) -> TermBudgetError:
-    return TermBudgetError(f"{n} terms exceeds GLHECKE_MAX_TERMS={_MAX_TERMS}")
+def check_terms(n: int) -> None:
+    """Raise TermBudgetError if a result of n terms exceeds the
+    GLHECKE_MAX_TERMS cap."""
+    if n > _MAX_TERMS:
+        raise TermBudgetError(f"{n} terms exceeds GLHECKE_MAX_TERMS={_MAX_TERMS}")
 
 
 class LaurentPoly:
@@ -178,8 +182,7 @@ class LaurentPoly:
                 terms[key] = c2
             else:
                 del terms[key]
-        if len(terms) > _MAX_TERMS:
-            raise _over_budget(len(terms))
+        check_terms(len(terms))
         return LaurentPoly(self.profile, terms)
 
     def __neg__(self) -> "LaurentPoly":
@@ -194,8 +197,7 @@ class LaurentPoly:
                 terms[key] = c2
             else:
                 del terms[key]
-        if len(terms) > _MAX_TERMS:
-            raise _over_budget(len(terms))
+        check_terms(len(terms))
         return LaurentPoly(self.profile, terms)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -241,8 +243,7 @@ class LaurentPoly:
                         out[key] = c2
                     else:
                         del out[key]
-        if len(out) > _MAX_TERMS:
-            raise _over_budget(len(out))
+        check_terms(len(out))
         return LaurentPoly(self.profile, out)
 
     __rmul__ = __mul__

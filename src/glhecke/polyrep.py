@@ -17,7 +17,7 @@ Hecke elements act through their Bernstein-basis expansion.
 from __future__ import annotations
 
 from .hecke import HeckeElt, perm_word, t_element
-from .laurent import LaurentPoly, x_profile
+from .laurent import LaurentPoly, check_terms, x_profile
 from . import weyl
 
 __all__ = ["one_vector", "act", "act_T", "act_e", "t_sm_on_one"]
@@ -86,6 +86,7 @@ def act_T(i: int, u: LaurentPoly, m: int) -> LaurentPoly:
                 nk = alpha_shift(key, -j)
                 nk[si] += 2
                 bump(tuple(nk), c)
+    check_terms(len(out))
     return LaurentPoly(u.profile, out)
 
 

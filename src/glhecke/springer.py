@@ -202,58 +202,57 @@ def theorem_basis(m: int) -> list[KClass]:
 
 
 class _TheoremData(NamedTuple):
-    """The theorem basis of one rank, det V and adj(V), where V[k][i] is the
-    entry of B_i at p_{k+1}; adj(V) V = det(V) I."""
+    """The step shape of V, where V[k][i] is the entry of B_i at p_{k+1}.
 
-    basis: list[KClass]
+    Column 0 of V is all ones, and column i >= 1 is a_i on the rows k < i
+    and b_i on the rows k >= i, so rows k-1 and k differ only in column k.
+    ``steps[i-1]`` is the pair (b_i, a_i - b_i), and
+    det V = (-1)^(m-1) prod_i (a_i - b_i)."""
+
+    steps: list[tuple[LaurentPoly, LaurentPoly]]
     det: LaurentPoly
-    adj: list[list[LaurentPoly]]
 
 
 _basis_cache: dict[int, _TheoremData] = {}
 
 
-def _adjugate(v: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    """adj(V)[i][k] = (-1)^{i+k} det(V without row k and column i)."""
-    n = len(v)
-    if n == 1:  # the one minor is 0 x 0, which has no profile to take 1 from
-        return [[LaurentPoly.one(v[0][0].profile)]]
-    return [
-        [
-            det_laurent(
-                [[x for j, x in enumerate(row) if j != i] for r, row in enumerate(v) if r != k]
-            )
-            * (-1) ** (i + k)
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def _theorem_data(m: int) -> _TheoremData:
-    """Theorem basis, det V and adj(V) of rank m, built on first use."""
+    """The steps and det V of rank m, built on first use; raises
+    AssertionError when V does not have the step shape."""
     got = _basis_cache.get(m)
     if got is None:
-        basis = theorem_basis(m)
-        vmat = [[basis[i].entries[k] for i in range(m)] for k in range(m)]
-        got = _basis_cache[m] = _TheoremData(basis, det_laurent(vmat), _adjugate(vmat))
+        cols = [b.entries for b in theorem_basis(m)]
+        one = LaurentPoly.one(GS_PROFILE)
+        if cols[0] != (one,) * m:
+            raise AssertionError(f"theorem basis m={m}: B_0 is not the unit tuple")
+        steps = []
+        det = one if m % 2 else -one
+        for i in range(1, m):
+            a, b = cols[i][0], cols[i][m - 1]
+            if a == b or cols[i] != (a,) * i + (b,) * (m - i):
+                raise AssertionError(f"theorem basis m={m}: column {i} is not a step")
+            steps.append((b, a - b))
+            det = det * (a - b)
+        got = _basis_cache[m] = _TheoremData(steps, det)
     return got
 
 
 def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
-    """Solve V x = entries as x = adj(V) entries / det V; raise SpanError
-    when the tuple leaves the integral span (kernel-stability violation)."""
-    _, det, adj = _theorem_data(len(entries))
+    """Solve V x = entries by differencing adjacent rows:
+    x_i = (y_{i-1} - y_i) / (a_i - b_i) for i >= 1, then
+    x_0 = y_{m-1} - sum_i b_i x_i.  Raise SpanError when a division is not
+    exact, i.e. the tuple leaves the integral span (kernel-stability
+    violation)."""
+    steps = _theorem_data(len(entries)).steps
     coords = []
-    for row in adj:
-        num = LaurentPoly.zero(GS_PROFILE)
-        for a, e in zip(row, entries):
-            num = num + a * e
-        q = num.div_exact(det)
+    x0 = entries[-1]
+    for i, (b, diff) in enumerate(steps, start=1):
+        q = (entries[i - 1] - entries[i]).div_exact(diff)
         if q is None:
             raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
         coords.append(q)
-    return tuple(coords)
+        x0 = x0 - b * q
+    return (x0, *coords)
 
 
 # -- the Hecke action ---------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
+from operator import mul
 
 from . import polyrep, springer
 from .hecke import HeckeElt
@@ -274,14 +275,19 @@ def check_defining_relations(m: int) -> list[str]:
                     failures.append(f"bernstein T[{i}] lam={lam}")
                     break
     # e^lam e^mu = e^(lam+mu): the translations act diagonally by line-bundle
-    # tuples, so multiplicativity is a pointwise monomial identity ...
-    lines = [springer.restrict_line_bundle(m, lam).entries for lam in box]
-    for lam, l1 in zip(box, lines):
-        for mu, l2 in zip(box, lines):
-            combined = [a + b for a, b in zip(lam, mu)]
-            l12 = springer.restrict_line_bundle(m, combined).entries
-            if any(l1[k] * l2[k] != l12[k] for k in range(m)):
-                failures.append(f"e-multiplicativity lam={lam} mu={mu}")
+    # tuples, so multiplicativity is the pointwise monomial identity
+    # L_lam = prod_j L_(eps_j)^(lam_j), checked once per lam in the box ...
+    eps = [
+        springer.restrict_line_bundle(m, [int(i == j) for j in range(m)]).entries
+        for i in range(m)
+    ]
+    for lam in box:
+        l_lam = springer.restrict_line_bundle(m, lam).entries
+        if any(
+            l_lam[k] != reduce(mul, (e[k] ** lj for e, lj in zip(eps, lam) if lj), _ONE)
+            for k in range(m)
+        ):
+            failures.append(f"e-multiplicativity lam={lam}")
     # ... with one composite spot check through the full action path
     eps1 = (1,) + (0,) * (m - 1)
     eps_last = (0,) * (m - 1) + (-1,)

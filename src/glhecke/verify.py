@@ -29,6 +29,7 @@ from .laurent import (
     GS_PROFILE,
     S_PROFILE,
     LaurentPoly,
+    TermBudgetError,
     demazure_exponents,
     demazure_quotient,
     orbit_sum,
@@ -42,9 +43,10 @@ __all__ = ["Check", "VerificationReport", "run_suite", "run_check", "report_json
 class Check:
     id: str
     anchor: str
-    status: str  # pass | fail | convention-A | convention-B
+    status: str  # pass | fail | error | convention-A | convention-B
     elapsed_ms: int = 0
     counterexample: str | None = None
+    error: str | None = None  # the resource limit an ``error`` check hit
 
 
 @dataclass
@@ -58,6 +60,10 @@ class VerificationReport:
     @property
     def failed(self) -> bool:
         return any(c.status == "fail" for c in self.checks)
+
+    @property
+    def errored(self) -> bool:
+        return any(c.status == "error" for c in self.checks)
 
 
 def _rng(seed: int, suite: str, check_id: str, m: int) -> random.Random:
@@ -78,6 +84,7 @@ def report_json(report: VerificationReport, include_elapsed: bool = False) -> st
                 "status": c.status,
                 **({"elapsed_ms": c.elapsed_ms} if include_elapsed else {}),
                 **({"counterexample": c.counterexample} if c.counterexample else {}),
+                **({"error": c.error} if c.error else {}),
             }
             for c in report.checks
         ],
@@ -93,8 +100,10 @@ def report_text(report: VerificationReport) -> str:
         line = f"  [{c.status:>12}] {c.id}  ({c.elapsed_ms} ms)"
         if c.counterexample:
             line += f"\n      counterexample: {c.counterexample}"
+        if c.error:
+            line += f"\n      error: {c.error}"
         lines.append(line)
-    verdict = "FAIL" if report.failed else "OK"
+    verdict = "FAIL" if report.failed else "ERROR" if report.errored else "OK"
     lines.append(f"result: {verdict}")
     return "\n".join(lines) + "\n"
 
@@ -220,14 +229,21 @@ class _Spec(NamedTuple):
 def _run(spec: _Spec, c: _Ctx) -> Check:
     """Time one check and classify its result: True passes, a
     ``convention-*`` string is reported as is, anything else fails with it
-    as the counterexample, and a crash fails with the exception."""
+    as the counterexample, and a crash fails with the exception.  A
+    resource limit (term cap, memory, recursion depth) decides nothing about
+    the identity, so it is an ``error`` and not a counterexample."""
     id_ = spec.stem + spec.tail.format(m=c.m, n=c.n, N=c.bounds[0], r=c.bounds[1])
     t0 = time.perf_counter()
+    error = None
     try:
         result = spec.fn(c)
+    except (TermBudgetError, MemoryError, RecursionError) as exc:
+        result = error = repr(exc)
     except Exception as exc:  # a crash is a failure with a diagnostic
         result = repr(exc)
     elapsed = int((time.perf_counter() - t0) * 1000)
+    if error is not None:
+        return Check(id_, spec.anchor, "error", elapsed, error=error)
     if result is True:
         return Check(id_, spec.anchor, "pass", elapsed)
     if isinstance(result, str) and result.startswith("convention-"):

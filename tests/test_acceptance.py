@@ -12,7 +12,9 @@ or execute this file directly.
 import time
 from itertools import product
 
-from glhecke import theta, verify
+import pytest
+
+from glhecke import laurent, theta, verify
 
 
 def _report(n, label, ok, elapsed, budget):
@@ -36,11 +38,12 @@ def test_criterion_01_tsm_closed_form():
 
 def test_criterion_02_main_theorem():
     stems = ["module-isomorphism", "module-relations"]
-    _criterion(2, "module isomorphism + relations, m=1..8", 60, "main-theorem", stems, range(1, 9))
+    _criterion(2, "module isomorphism + relations, m=1..12", 60, "main-theorem", stems, range(1, 13))
 
 
 def test_criterion_03_freeness():
-    _criterion(3, "Tw1-orbit of IC^0 is a basis, m=1..8", 10, "main-theorem", ["freeness"], range(1, 9))
+    label = "Tw1-orbit of IC^0 is a basis, m=1..12"
+    _criterion(3, label, 10, "main-theorem", ["freeness"], range(1, 13))
 
 
 def test_criterion_04_center():
@@ -51,9 +54,18 @@ def test_criterion_04_center():
 def test_criterion_05_hecke_soundness():
     t0 = time.perf_counter()
     report = verify.run_suite("hecke", (2, 4), seed=0, cases=1000)
-    ok = not report.failed
+    ok = not (report.failed or report.errored)
     elapsed = time.perf_counter() - t0
     assert _report(5, "braid/quadratic/Bernstein + associativity, m=2..4", ok, elapsed, 60) and elapsed < 60
+
+
+def test_errored_check_fails_criterion_05(monkeypatch):
+    # a check stopped by the term cap decided nothing, so it cannot pass the gate
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
+    report = verify.run_suite("hecke", (2, 4), seed=0, cases=1000)
+    assert report.errored and not report.failed
+    with pytest.raises(AssertionError):
+        test_criterion_05_hecke_soundness()
 
 
 def test_criterion_06_basis_system():

@@ -3,9 +3,11 @@ closed form, module axioms, and exactness of the divided differences."""
 
 import random
 
-from glhecke import polyrep, weyl
+import pytest
+
+from glhecke import laurent, polyrep, weyl
 from glhecke.hecke import HeckeElt, t_element
-from glhecke.laurent import LaurentPoly, x_profile
+from glhecke.laurent import LaurentPoly, TermBudgetError, x_profile
 
 
 def mono(m, xexps, sexp=0, c=1):
@@ -129,6 +131,17 @@ def test_divisions_are_exact():
             mono(m, lam) - mono(m, slam_plus)
         )
         assert got * (e_alpha - one) == want_times
+
+
+def test_act_T_respects_term_budget(monkeypatch):
+    # T_1 x1^6 telescopes to 11 terms without a single LaurentPoly sum
+    u = mono(2, [6, 0])
+    assert len(polyrep.act_T(1, u, 2).terms) == 11
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 11)
+    assert len(polyrep.act_T(1, u, 2).terms) == 11
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
+    with pytest.raises(TermBudgetError):
+        polyrep.act_T(1, u, 2)
 
 
 def test_affine_generator_through_bernstein_form():

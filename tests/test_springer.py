@@ -98,22 +98,37 @@ def test_theorem_basis_rank():
         assert not det.is_zero()
 
 
-def test_cached_adjugate():
-    # V adj(V) = det(V) I, with V[k][i] the entry of B_i at p_(k+1)
-    zero = LaurentPoly.zero(GS_PROFILE)
-    for m in range(1, 8):
+def test_theorem_det_product_formula():
+    # det V = (-1)^(m-1) prod_i (a_i - b_i) from the step shape of V, with
+    # V[k][i] the entry of B_i at p_(k+1); Bareiss and the permutation
+    # expansion are independent oracles
+    for m in range(1, 9):
         basis = springer.theorem_basis(m)
         vmat = [[basis[i].entries[k] for i in range(m)] for k in range(m)]
-        data = springer._theorem_data(m)
+        det = springer._theorem_data(m).det
+        assert det == det_laurent(vmat), m
         if m <= 5:
-            assert data.det == det_expansion(vmat)
-        for k in range(m):
-            for j in range(m):
-                got = sum((vmat[k][i] * data.adj[i][j] for i in range(m)), zero)
-                assert got == (data.det if k == j else zero), (m, k, j)
+            assert det == det_expansion(vmat), m
 
 
-def test_k_act_makes_no_determinant_calls_once_warm(monkeypatch):
+def test_theorem_data_rejects_a_non_step_basis(monkeypatch):
+    # B_1 is (a, b, ..., b); swapping its ends gives (b, b, ..., a), which
+    # for m >= 3 is not a step
+    def swapped(m):
+        basis = list(true_basis(m))
+        e = basis[1].entries
+        basis[1] = springer.KClass((e[-1],) + e[1:-1] + (e[0],), basis[1].coords)
+        return basis
+
+    true_basis = springer.theorem_basis
+    monkeypatch.setattr(springer, "theorem_basis", swapped)
+    monkeypatch.setattr(springer, "_basis_cache", {})
+    for m in (3, 4, 6):
+        with pytest.raises(AssertionError, match="not a step"):
+            springer._theorem_data(m)
+
+
+def test_k_act_makes_no_determinant_calls(monkeypatch):
     calls = []
 
     def counting(mat):
@@ -122,13 +137,9 @@ def test_k_act_makes_no_determinant_calls_once_warm(monkeypatch):
 
     monkeypatch.setattr(springer, "det_laurent", counting)
     monkeypatch.setattr(springer, "_basis_cache", {})
-    for m in range(2, 6):
+    for m in range(1, 7):
         basis = springer.theorem_basis(m)
-        springer.k_act(HeckeElt.gen(m, 1), basis[0])
-        # det V and the m^2 minors of adj(V), once per rank
-        assert len(calls) == m * m + 1, m
-        calls.clear()
-        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)]
+        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)] if m >= 2 else []
         gens += [HeckeElt.tw(m, 1), HeckeElt.tw(m, -1), HeckeElt.e((1,) + (0,) * (m - 1))]
         for h in gens:
             for b in basis:

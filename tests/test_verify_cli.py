@@ -25,7 +25,7 @@ def run_cli(*args, env=None):
 
 def test_run_suite_main_theorem_small():
     report = verify.run_suite("main-theorem", (1, 3), seed=0, cases=20)
-    assert not report.failed
+    assert not (report.failed or report.errored)
     assert all(c.status == "pass" for c in report.checks)
 
 
@@ -33,7 +33,7 @@ def test_polyrep_suite_includes_tsm_check():
     report = verify.run_suite("polyrep", (2, 5), seed=0, cases=10)
     ids = {c.id for c in report.checks if c.status == "pass"}
     assert {f"tsm-m{m}" for m in range(2, 6)} <= ids
-    assert not report.failed
+    assert not (report.failed or report.errored)
 
 
 def test_run_suite_rejects_bad_input():
@@ -45,7 +45,7 @@ def test_run_suite_rejects_bad_input():
 
 def test_theta_suite_passes_from_m1():
     report = verify.run_suite("theta", (1, 2), seed=0, cases=5)
-    assert not report.failed
+    assert not (report.failed or report.errored)
     assert [c.id for c in report.checks if c.id.startswith("dictionary")] == ["dictionary-m2"]
 
 
@@ -82,7 +82,7 @@ def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch):
 def test_canonical_reports_match_golden():
     # the goldens are `glhecke verify <suite> --m 1..B --seed 0 --json`
     # output; a refactor must leave these canonical reports byte-identical
-    for suite, hi in (("theta", 4), ("main-theorem", 6)):
+    for suite, hi in (("theta", 4), ("main-theorem", 6), ("springer", 4)):
         report = verify.run_suite(suite, (1, hi), seed=0)
         with open(os.path.join(GOLDEN, f"verify_{suite}_m1-{hi}_seed0.json")) as fh:
             assert verify.report_json(report) == fh.read(), suite
@@ -227,3 +227,32 @@ def test_cli_error_paths():
         assert proc.returncode == 2, cap
         assert proc.stdout == "", cap
         assert "GLHECKE_MAX_TERMS" in proc.stderr, cap
+
+
+def test_cli_term_cap_hit_is_an_error_not_a_counterexample(tmp_path):
+    # a resource limit decides nothing, so the check is `error` and the run exits 3
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", "hecke", "--m", "2", "--cases", "3", "--json", str(out),
+                   env={"GLHECKE_MAX_TERMS": "3"})
+    assert proc.returncode == 3, proc.stderr
+    assert "result: ERROR" in proc.stdout
+    checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+    hit = checks["associativity-m2"]
+    assert hit["status"] == "error"
+    assert "TermBudgetError" in hit["error"] and "counterexample" not in hit
+    assert "fail" not in {c["status"] for c in checks.values()}
+
+
+def test_cli_failure_takes_precedence_over_error(monkeypatch, capsys):
+    # a counterexample is decisive, an error is not: a run with both exits 1
+    checks = [
+        verify.Check("a-m2", "x", "error", error="TermBudgetError()"),
+        verify.Check("b-m2", "x", "fail", counterexample="1 != 2"),
+    ]
+    report = verify.VerificationReport("hecke", (2, 2), 0, checks)
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: report)
+    assert main(["verify", "hecke", "--m", "2"]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+    report.checks = checks[:1]
+    assert main(["verify", "hecke", "--m", "2"]) == 3
+    assert "result: ERROR" in capsys.readouterr().out
