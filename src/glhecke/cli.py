@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import springer, theta, verify
 from .hecke import parse_hecke
@@ -102,7 +103,7 @@ def _split_eval_expression(m: int, text: str):
     )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, sink) -> int:
     report = verify.run_suite(
         args.suite,
         args.m,
@@ -112,35 +113,38 @@ def _cmd_verify(args) -> int:
         bounds=args.bounds,
     )
     sys.stdout.write(verify.report_text(report))
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(verify.report_json(report, include_elapsed=args.timings))
+    if sink:
+        sink.write(verify.report_json(report, include_elapsed=args.timings))
     return 1 if report.failed else 3 if report.errored else 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, _sink) -> int:
     h, u = _split_eval_expression(args.m, args.expression)
     print(act(h, u))
     return 0
 
 
-def _matrix_payload(m: int, generator: str) -> dict:
-    mats = theta.theta_action_matrices(m)
+def _emit(payload: dict, sink) -> None:
+    """Print the payload as indented JSON; write it compactly to ``sink``."""
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    if sink:
+        sink.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _generator_key(m: int, generator: str) -> str:
+    """Resolve ``--generator``: a key of ``theta.generator_keys(m)`` or an
+    alias T_si, T_sm, T_w1.  Called before any matrix is built."""
     aliases = {f"T_s{i}": f"T[{i}]" for i in range(1, m + 1)}
     aliases["T_sm"] = f"T[{m}]"
     aliases["T_w1"] = "Tw[1]"
     key = aliases.get(generator, generator)
-    if key not in mats:
-        raise SystemExit(f"unknown generator {generator!r}; available: {sorted(mats)}")
-    return {
-        "m": m,
-        "basis": "theorem",
-        "generator": generator,
-        "matrix": [[str(entry) for entry in row] for row in mats[key]],
-    }
+    keys = theta.generator_keys(m)
+    if key not in keys:
+        raise ValueError(f"unknown generator {generator!r}; available: {sorted(keys)}")
+    return key
 
 
-def _cmd_springer(args) -> int:
+def _cmd_springer(args, sink) -> int:
     m = args.m
     if args.show == "flags":
         table = springer.build_fixed_flags(m)
@@ -171,16 +175,18 @@ def _cmd_springer(args) -> int:
             ],
         }
     else:  # matrix
-        payload = _matrix_payload(m, args.generator)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        key = _generator_key(m, args.generator)
+        payload = {
+            "m": m,
+            "basis": "theorem",
+            "generator": args.generator,
+            "matrix": [[str(entry) for entry in row] for row in theta.theta_action_matrices(m)[key]],
+        }
+    _emit(payload, sink)
     return 0
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args, sink) -> int:
     m = args.m
     mats = theta.theta_action_matrices(m)
     payload = {
@@ -191,14 +197,11 @@ def _cmd_theta(args) -> int:
             for key, mat in mats.items()
         },
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    _emit(payload, sink)
     return 0
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args, _sink) -> int:
     bound_n, bound_r = args.bounds
     labels = theta.enumerate_orbits(args.n, args.m, bound_n, bound_r)
     if args.count_only:
@@ -228,6 +231,7 @@ def _cmd_orbits(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glhecke", description=__doc__)
+    parser.set_defaults(json=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -272,7 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         check_term_cap()
-        return args.fn(args)
+        # open the --json target first, so a bad path exits 2 before any work
+        with open(args.json, "w") if args.json else nullcontext() as sink:
+            return args.fn(args, sink)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -189,35 +189,41 @@ def det_laurent(m: list[list[LaurentPoly]]) -> LaurentPoly:
     return a[n - 1][n - 1] * sign
 
 
+def _subtract(row: dict[int, Fraction], f: Fraction, pivot: dict[int, Fraction]) -> None:
+    """row -= f * pivot in place, dropping the entries that become zero."""
+    for j, x in pivot.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
 def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a matrix over Q (RREF)."""
+    """Basis of the right nullspace of a matrix over Q, read off its reduced
+    row echelon form: one vector per free column, ascending, with 1 there and
+    0 at the other free columns.  Rows are reduced one at a time, as sparse
+    ``{column: value}`` maps, against the fully reduced pivot rows so far."""
     if not rows:
         return []
     ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pc in enumerate(pivots):
-            vec[pc] = -mat[prow][fc]
-        basis.append(vec)
-    return basis
+    pivots: dict[int, dict[int, Fraction]] = {}  # pivot column -> its RREF row
+    for dense in rows:
+        row = {j: x for j, x in enumerate(dense) if x}
+        for p in [j for j in row if j in pivots]:
+            _subtract(row, row[p], pivots[p])
+        if row:
+            c = min(row)
+            row = {j: x / row[c] for j, x in row.items()}
+            for other in pivots.values():
+                if c in other:
+                    _subtract(other, other[c], row)
+            pivots[c] = row
+    free = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in pivots}
+    for c, vec in free.items():
+        vec[c] = Fraction(1)
+    for p, row in pivots.items():
+        for j, x in row.items():
+            if j in free:
+                free[j][p] = -x
+    return list(free.values())

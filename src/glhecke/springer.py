@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import NamedTuple
 
 from . import polyrep
@@ -530,16 +530,9 @@ def kernel_vectors(m: int, degree: int = 1) -> list[LaurentPoly]:
     for jcol, col in enumerate(columns):
         for pos, c in col.items():
             rows[pos][jcol] = Fraction(c)
-    basis = nullspace(rows)
     out = []
-    for vec in basis:
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        terms = {}
-        for nu, x in zip(box, vec):
-            n = int(x * denom)
-            if n:
-                terms[nu + (0,)] = n
-        out.append(LaurentPoly(profile, terms))
+    for vec in nullspace(rows):
+        support = [(nu, x) for nu, x in zip(box, vec) if x]
+        denom = lcm(*(x.denominator for _, x in support))
+        out.append(LaurentPoly(profile, {nu + (0,): int(x * denom) for nu, x in support}))
     return out

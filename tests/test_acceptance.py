@@ -74,8 +74,8 @@ def test_criterion_06_basis_system():
 
 
 def test_criterion_07_kernel_stability():
-    label = "100 random kernel elements stay in the kernel, m=2..5"
-    _criterion(7, label, 60, "springer", ["kernel-stability"], range(2, 6))
+    label = "every kernel basis vector stays in the kernel under every generator, m=2..6"
+    _criterion(7, label, 60, "springer", ["kernel-stability"], range(2, 7))
 
 
 def test_criterion_08_orbit_combinatorics():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glhecke.laurent import GS_PROFILE, LaurentPoly
 from glhecke.linalg import (
@@ -72,3 +74,40 @@ def test_nullspace():
     for row in rows:
         assert sum(a * b for a, b in zip(row, vec)) == 0
     assert nullspace([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == []
+
+
+def _rank(rows):
+    """Rank by forward elimination, the oracle for ``nullspace``."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][c] / rows[rank][c]
+            rows[k] = [x - f * y for x, y in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
+entries = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3))
+matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(matrices)
+def test_nullspace_is_the_rref_basis(rows):
+    ncols = len(rows[0])
+    basis = nullspace(rows)
+    for vec in basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    ranks = [_rank([row[:c] for row in rows]) for c in range(ncols + 1)]
+    assert len(basis) == ncols - ranks[-1]
+    # column c is free when it lies in the span of the columns before it
+    free = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
+    for k, vec in enumerate(basis):
+        assert [vec[c] for c in free] == [int(j == k) for j in range(len(free))]

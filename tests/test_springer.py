@@ -5,8 +5,10 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glhecke import polyrep, springer, weyl
+from glhecke import polyrep, springer, verify, weyl
 from glhecke.hecke import HeckeElt, t_element
 from glhecke.laurent import GS_PROFILE, LaurentPoly, orbit_sum, parse_poly, x_profile
 from glhecke.linalg import det_expansion, det_laurent
@@ -238,21 +240,53 @@ def test_center_scalar_action():
                 assert springer.k_act(zel, b) == b.scale(scal)
 
 
-def test_kernel_stability():
-    rng = random.Random(32)
-    for m in (2, 3):
-        kernel = springer.kernel_vectors(m, degree=2)
-        assert kernel
-        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)]
-        gens += [HeckeElt.tw(m, 1), HeckeElt.e((1,) + (0,) * (m - 1))]
-        for _ in range(20):
-            u = LaurentPoly.zero(x_profile(m))
-            for vec in kernel:
-                u = u + vec * rng.randint(-2, 2)
-            assert all(e.is_zero() for e in springer.pushdown_poly(m, u))
-            for g in gens:
-                acted = polyrep.act(g, u)
-                assert all(e.is_zero() for e in springer.pushdown_poly(m, acted))
+@st.composite
+def x_poly_pairs(draw):
+    """A rank m in 2..4 and two polynomials in its x-profile."""
+    m = draw(st.integers(2, 4))
+    monomial = st.tuples(*[st.integers(-1, 2)] * m, st.integers(-1, 1))
+    poly = st.dictionaries(monomial, st.integers(-3, 3).filter(bool), max_size=4)
+    return m, LaurentPoly(x_profile(m), draw(poly)), LaurentPoly(x_profile(m), draw(poly))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x_poly_pairs(), st.integers(-3, 3), st.integers(-3, 3))
+def test_act_and_pushdown_are_linear(muv, a, b):
+    # the linearity that lets kernel-stability check a basis and not combinations
+    m, u, v = muv
+    w = u * a + v * b
+    gens = [HeckeElt.tw(m, 1), *(HeckeElt.gen(m, i) for i in range(1, m + 1))]
+    gens.append(HeckeElt.e((1,) + (0,) * (m - 1)))
+    for g in gens:
+        assert polyrep.act(g, w) == polyrep.act(g, u) * a + polyrep.act(g, v) * b
+    pu, pv = springer.pushdown_poly(m, u), springer.pushdown_poly(m, v)
+    assert springer.pushdown_poly(m, w) == tuple(x * a + y * b for x, y in zip(pu, pv))
+
+
+@pytest.mark.parametrize("m, dim", [(3, 8), (4, 172)])
+def test_kernel_stability_at_degree_3(monkeypatch, m, dim):
+    # the registered check, run on the degree-3 kernel basis
+    kernel_vectors = springer.kernel_vectors
+    assert len(kernel_vectors(m, 3)) == dim
+    monkeypatch.setattr(springer, "kernel_vectors", lambda m, degree: kernel_vectors(m, 3))
+    assert verify.run_check("springer", "kernel-stability", m).status == "pass"
+
+
+def test_kernel_stability_catches_planted_faults(monkeypatch):
+    m = 3
+    kernel_vectors, act = springer.kernel_vectors, polyrep.act
+    one = LaurentPoly.one(x_profile(m))
+    with monkeypatch.context() as mp:
+        mp.setattr(springer, "kernel_vectors", lambda m, degree: kernel_vectors(m, degree) + [one])
+        check = verify.run_check("springer", "kernel-stability", m)
+    assert check.status == "fail"
+    assert check.counterexample == "kernel basis vector 1 does not restrict to zero"
+    x1 = LaurentPoly.variable(x_profile(m), "x1")
+    monkeypatch.setattr(polyrep, "act", lambda h, u: act(h, u) + x1)
+    check = verify.run_check("springer", "kernel-stability", m)
+    assert check.status == "fail"
+    u = kernel_vectors(m, 2)[0]
+    assert check.counterexample == f"kernel not stable under {HeckeElt.tw(m, 1)} at {u}"
 
 
 def test_k_act_is_a_module_action():

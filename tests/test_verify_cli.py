@@ -202,7 +202,8 @@ def test_cli_orbits():
     assert proc.returncode == 2
 
 
-def test_cli_error_paths():
+def test_cli_error_paths(tmp_path):
+    missing = str(tmp_path / "missing" / "x.json")
     for args in (
         ("eval", "--m", "2", "nonsense"),
         ("eval", "--m", "2", "T_1 * 1"),
@@ -218,6 +219,11 @@ def test_cli_error_paths():
         ("verify", "hecke", "--m", "2", "--cases", "0"),
         ("verify", "orbits", "--m", "2", "--bounds", "0,0"),
         ("orbits", "--n", "0", "--m", "2", "--bounds", "0,1"),
+        ("springer", "--m", "2", "--show", "matrix", "--generator", "bogus"),
+        # an unwritable --json target is refused before any work
+        ("verify", "springer", "--m", "2..3", "--json", missing),
+        ("springer", "--m", "2", "--show", "bases", "--json", missing),
+        ("theta", "--m", "2", "--matrices", "--json", missing),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
@@ -227,6 +233,22 @@ def test_cli_error_paths():
         assert proc.returncode == 2, cap
         assert proc.stdout == "", cap
         assert "GLHECKE_MAX_TERMS" in proc.stderr, cap
+
+
+def test_cli_input_errors_come_before_any_work(monkeypatch, tmp_path, capsys):
+    def work(*args, **kwargs):
+        pytest.fail("work started before the input was checked")
+
+    monkeypatch.setattr(theta, "theta_action_matrices", work)
+    monkeypatch.setattr(verify, "run_suite", work)
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (
+        ["springer", "--m", "2", "--show", "matrix", "--generator", "bogus"],
+        ["verify", "springer", "--m", "2..3", "--json", missing],
+        ["theta", "--m", "2", "--matrices", "--json", missing],
+    ):
+        assert main(argv) == 2, argv
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_term_cap_hit_is_an_error_not_a_counterexample(tmp_path):
