@@ -285,27 +285,37 @@ class LaurentPoly:
     def specialize(self, assignments: Mapping[str, Fraction | int]) -> Fraction:
         """Exact rational evaluation.  Every occurring variable must get a
         nonzero rational; zero assignments are rejected (variables are
-        invertible)."""
-        values: list[Fraction | None] = []
-        for name in self.profile:
-            if name in assignments:
-                val = Fraction(assignments[name])
-                if val == 0:
-                    raise ValueError(f"variable {name} assigned zero")
-                values.append(val)
-            else:
-                values.append(None)
-        total = Fraction(0)
+        invertible).
+
+        Integer arithmetic throughout: a variable assigned 1 is skipped, and
+        one assigned p/q contributes p^(e-lo) q^(hi-e) to a term with
+        exponent e, where [lo, hi] spans its exponents and 0; the integer sum
+        becomes one Fraction over the common denominator at the end."""
+        spans: list[tuple[int, int, int, int, int]] = []  # (index, p, q, lo, hi)
+        unassigned: list[int] = []
+        den = 1
+        for idx, name in enumerate(self.profile):
+            if name not in assignments:
+                unassigned.append(idx)
+                continue
+            val = Fraction(assignments[name])
+            if val == 0:
+                raise ValueError(f"variable {name} assigned zero")
+            if val != 1:
+                exps = [0, *(key[idx] for key in self.terms)]
+                lo, hi = min(exps), max(exps)
+                p, q = val.numerator, val.denominator
+                spans.append((idx, p, q, lo, hi))
+                den *= p**-lo * q**hi
+        if any(key[idx] for key in self.terms for idx in unassigned):
+            raise ValueError("unassigned variable with nonzero exponent")
+        total = 0
         for key, c in self.terms.items():
-            acc = Fraction(c)
-            for e, val in zip(key, values):
-                if e == 0:
-                    continue
-                if val is None:
-                    raise ValueError("unassigned variable with nonzero exponent")
-                acc *= val**e
-            total += acc
-        return total
+            for idx, p, q, lo, hi in spans:
+                e = key[idx]
+                c *= p ** (e - lo) * q ** (hi - e)
+            total += c
+        return Fraction(total, den)
 
     def subst(
         self, target: tuple[str, ...], images: Mapping[str, "LaurentPoly"]

@@ -23,9 +23,17 @@ from . import weyl
 __all__ = ["one_vector", "act", "act_T", "act_e", "t_sm_on_one"]
 
 
-def _indices(profile: tuple[str, ...], m: int) -> tuple[list[int], int]:
-    xi = [profile.index(f"x{i}") for i in range(1, m + 1)]
-    return xi, profile.index("s")
+# positions of x1..xm and s, cached per (profile, m): x_profile and
+# gx_profile vectors put x1 at different indices
+_index_cache: dict[tuple[tuple[str, ...], int], tuple[tuple[int, ...], int]] = {}
+
+
+def _indices(profile: tuple[str, ...], m: int) -> tuple[tuple[int, ...], int]:
+    got = _index_cache.get((profile, m))
+    if got is None:
+        xi = tuple(profile.index(f"x{i}") for i in range(1, m + 1))
+        got = _index_cache[(profile, m)] = (xi, profile.index("s"))
+    return got
 
 
 def one_vector(m: int) -> LaurentPoly:

@@ -178,14 +178,14 @@ def bfs_length_table(m: int, lam_bound: int, slack: int = 4) -> dict[weyl.Affine
         d = dist[cur]
         for g in gens0:
             nxt = cur * g
-            if max(abs(v) for v in nxt.trans) > cap:
+            if max(nxt.trans) > cap or min(nxt.trans) < -cap:
                 continue
             if nxt not in dist or dist[nxt] > d:
                 dist[nxt] = d
                 queue.appendleft(nxt)
         for g in gens1:
             nxt = cur * g
-            if max(abs(v) for v in nxt.trans) > cap:
+            if max(nxt.trans) > cap or min(nxt.trans) < -cap:
                 continue
             if nxt not in dist:
                 dist[nxt] = d + 1

@@ -23,7 +23,7 @@ print) has length 2i(m-i) and is exposed as ``omega_opposite_sign``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "AffineWeylElt",
@@ -44,11 +44,6 @@ __all__ = [
 ]
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # (a o b)(i) = a(b(i))
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, v in enumerate(a):
@@ -56,8 +51,10 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class AffineWeylElt:
+class AffineWeylElt(NamedTuple):
+    """t^trans * perm, a named ``(trans, perm)`` tuple: it equals and hashes
+    like the plain pair."""
+
     trans: tuple[int, ...]
     perm: tuple[int, ...]
 
@@ -65,21 +62,16 @@ class AffineWeylElt:
     def m(self) -> int:
         return len(self.trans)
 
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """The permutation part acting on a vector: (w.v)[w[i]] = v[i]."""
-        out = [0] * len(vec)
-        for i, v in enumerate(vec):
-            out[self.perm[i]] = v
-        return tuple(out)
-
     def __mul__(self, other: "AffineWeylElt") -> "AffineWeylElt":
-        if self.m != other.m:
+        t1, p1 = self
+        t2, p2 = other
+        if len(t1) != len(t2):
             raise ValueError("rank mismatch")
-        moved = self.apply(other.trans)
-        return AffineWeylElt(
-            tuple(a + b for a, b in zip(self.trans, moved)),
-            _compose(self.perm, other.perm),
-        )
+        # lam1 + w1(lam2): (w1 . lam2)[w1[i]] = lam2[i]
+        out = list(t1)
+        for i, v in zip(p1, t2):
+            out[i] += v
+        return AffineWeylElt(tuple(out), tuple(map(p1.__getitem__, p2)))
 
     def inverse(self) -> "AffineWeylElt":
         pinv = _invert(self.perm)
@@ -202,12 +194,13 @@ def reduced_word(w: AffineWeylElt) -> tuple[int, list[int]]:
     is read off the leftover translation.  Recomposition is exact.
     """
     m = w.m
+    gens = [simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
     cur = w
     cur_len = length(cur)
     records: list[int] = []
     while cur_len > 0:
-        for i in range(1, m + 1):
-            nxt = cur * simple_reflection(m, i)
+        for i, g in enumerate(gens, 1):
+            nxt = cur * g
             nxt_len = length(nxt)
             if nxt_len < cur_len:
                 records.append(i)
@@ -248,7 +241,9 @@ def parse_weyl(m: int, text: str) -> AffineWeylElt:
     def read_bracket(start: int) -> tuple[list[int], int]:
         if start >= len(text) or text[start] != "[":
             raise ValueError("expected '['")
-        end = text.index("]", start)
+        end = text.find("]", start)
+        if end < 0:
+            raise ValueError(f"unclosed '[' in {text!r}")
         inner = text[start + 1 : end].strip()
         vals = [int(v) for v in inner.split(",")] if inner else []
         return vals, end + 1
@@ -258,8 +253,11 @@ def parse_weyl(m: int, text: str) -> AffineWeylElt:
             j = start + 1
             if j < len(text) and text[j] == "-":
                 j += 1
+            digits = j
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j == digits:
+                raise ValueError(f"missing exponent after '^' in {text!r}")
             return int(text[start + 1 : j]), j
         return 1, start
 

@@ -34,6 +34,12 @@ def test_weyl_parse_errors():
         weyl.parse_weyl(2, "p[1,1]")
     with pytest.raises(ValueError):
         weyl.parse_weyl(2, "q[1,2]")
+    with pytest.raises(ValueError, match=r"missing exponent after '\^'"):
+        weyl.parse_weyl(2, "t[1,0]^")
+    with pytest.raises(ValueError, match=r"missing exponent after '\^'"):
+        weyl.parse_weyl(2, "W1^x")
+    with pytest.raises(ValueError, match=r"unclosed '\['"):
+        weyl.parse_weyl(2, "t[1,2")
 
 
 def test_reflection_bounds():

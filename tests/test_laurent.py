@@ -256,6 +256,30 @@ def test_specialize_rejects_zero():
     assert p.specialize({"s": Fraction(2, 3)}) == Fraction(3, 2)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polys(X3), st.tuples(*[st.sampled_from([1, -1, 2, Fraction(1, 3)]) for _ in X3]))
+def test_specialize_matches_termwise_fractions(p, values):
+    assignments = dict(zip(X3, values))
+    want = Fraction(0)
+    for key, c in p.terms.items():
+        term = Fraction(c)
+        for e, v in zip(key, values):
+            term *= Fraction(v) ** e
+        want += term
+    got = p.specialize(assignments)
+    assert type(got) is Fraction and got == want
+
+
+def test_specialize_rejects_zero_and_missing():
+    p = parse_poly(X2, "x1 - s^2")
+    with pytest.raises(ValueError, match="assigned zero"):
+        p.specialize({"x1": 1, "x2": 0, "s": 1})
+    with pytest.raises(ValueError, match="unassigned"):
+        p.specialize({"x1": 2, "x2": 1})
+    # a missing variable that never occurs is fine
+    assert p.specialize({"x1": 2, "s": 1}) == 1
+
+
 # -- grammar -------------------------------------------------------------------------
 
 

@@ -80,12 +80,32 @@ def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch):
 
 
 def test_canonical_reports_match_golden():
-    # the goldens are `glhecke verify <suite> --m 1..B --seed 0 --json`
-    # output; a refactor must leave these canonical reports byte-identical
-    for suite, hi in (("theta", 4), ("main-theorem", 6), ("springer", 4)):
-        report = verify.run_suite(suite, (1, hi), seed=0)
+    # the goldens are `glhecke verify <suite> --m 1..B --cases C --seed 0 --json`
+    # output (C = 1000 is the default); a refactor must leave these canonical
+    # reports byte-identical
+    for suite, hi, cases in (
+        ("theta", 4, 1000),
+        ("main-theorem", 6, 1000),
+        ("springer", 4, 1000),
+        ("hecke", 3, 100),
+        ("polyrep", 4, 100),
+    ):
+        report = verify.run_suite(suite, (1, hi), seed=0, cases=cases)
         with open(os.path.join(GOLDEN, f"verify_{suite}_m1-{hi}_seed0.json")) as fh:
             assert verify.report_json(report) == fh.read(), suite
+
+
+def test_python_dash_m_glhecke(tmp_path):
+    out = tmp_path / "report.json"
+    args = ["verify", "hecke", "--m", "1", "--cases", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "glhecke", *args, "--json", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = verify.run_suite("hecke", (1, 1), seed=0, cases=1)
+    assert out.read_text() == verify.report_json(report)
 
 
 def test_reports_are_deterministic():

@@ -4,7 +4,11 @@ reduced words, and literals."""
 import random
 from itertools import permutations, product
 
-from glhecke import weyl
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glhecke import verify, weyl
 from glhecke.verify import bfs_length_table
 
 
@@ -26,15 +30,55 @@ def test_group_axioms():
         assert a * weyl.identity(m) == a
 
 
-def test_semidirect_product_law():
-    # (lam1, w1)(lam2, w2) = (lam1 + w1(lam2), w1 w2)
-    a = weyl.AffineWeylElt((1, 0, -1), (1, 2, 0))
-    b = weyl.AffineWeylElt((0, 2, 0), (2, 0, 1))
-    prod_ = a * b
-    assert prod_.perm == tuple(a.perm[b.perm[i]] for i in range(3))
-    assert prod_.trans == tuple(
-        x + y for x, y in zip(a.trans, a.apply(b.trans))
-    )
+@st.composite
+def weyl_pairs(draw):
+    m = draw(st.integers(1, 5))
+    lams = st.tuples(*[st.integers(-3, 3) for _ in range(m)])
+    perms = st.permutations(range(m)).map(tuple)
+    return tuple(weyl.AffineWeylElt(draw(lams), draw(perms)) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weyl_pairs())
+def test_semidirect_product_law(pair):
+    # (lam1, w1)(lam2, w2) = (lam1 + w1(lam2), w1 w2), with w acting on
+    # vectors by (w . lam)[w[i]] = lam[i] and (w1 w2)[i] = w1[w2[i]]
+    a, b = pair
+    m = len(a.trans)
+    moved = [None] * m
+    for i in range(m):
+        moved[a.perm[i]] = b.trans[i]
+    want_trans = tuple(a.trans[j] + moved[j] for j in range(m))
+    want_perm = tuple(a.perm[b.perm[i]] for i in range(m))
+    assert a * b == weyl.AffineWeylElt(want_trans, want_perm)
+
+
+def test_one_element_four_ways():
+    # w1 = t^(-omega_1) sigma_1 at m = 3, from a literal, omega, an inverse
+    # and a product; all equal, with one hash, and equal to the plain pair
+    ways = [
+        weyl.parse_weyl(3, "W1"),
+        weyl.omega(3, 1),
+        weyl.omega(3, -1).inverse(),
+        weyl.translation((-1, 0, 0)) * weyl.sigma(3, 1),
+    ]
+    pair = ((-1, 0, 0), (1, 2, 0))
+    assert all(w == pair for w in ways)
+    assert {hash(w) for w in ways} == {hash(pair)}
+    assert all(str(w) == "t[-1,0,0]*p[2,3,1]" for w in ways)
+    assert weyl.parse_weyl(3, str(ways[0])) == ways[0]
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl.omega(3, 1) * weyl.omega(2, 1)
+
+
+@pytest.mark.parametrize("name", ["length", "window_inversions"])
+def test_planted_length_fault_fails_bfs_check(monkeypatch, name):
+    target = weyl.parse_weyl(3, "t[2,0,-2]*p[1,2,3]")
+    honest = getattr(weyl, name)
+    monkeypatch.setattr(weyl, name, lambda w: honest(w) + (w == target))
+    check = verify.run_check("hecke", "weyl-length-bfs", 3)
+    assert check.status == "fail"
+    assert "t[2,0,-2]*p[1,2,3]" in check.counterexample
 
 
 def test_length_known_values():
