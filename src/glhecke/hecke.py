@@ -15,8 +15,13 @@ The affine generator T[m] and the length-zero generators Tw[k] enter through
 their Bernstein expansions:
 
     T_{w_1}      = s^{1-m} e^{-omega_1} T_{sigma_1},
-    T_{w_1}^{-1} = s^{1-m} e^{(0,..,0,1)} T_{sigma_1^{-1}},
-    T_{s_m}      = T_{w_1}^{-1} T_{s_1} T_{w_1}.
+    T_{w_1}^k    = e^{-q(1,..,1)} T_{w_1}^r   (q, r = divmod(k, m)),
+    T_{s_m}      = T_{w_1}^{-1} T_{s_1} T_{w_1},
+
+the second because T_{w_1}^m = e^{-(1,..,1)} is central.
+
+Literals ``(s^2 - 1)*e[1,0]*T[1] + Tw[-2]`` are read by ``parse_hecke`` on
+the shared ``laurent.TokenCursor``; coefficients use its polynomial rule.
 
 Everything is exact; specializing s -> 1 collapses the product to the group
 algebra of the extended affine Weyl group (tested).
@@ -25,7 +30,7 @@ algebra of the extended affine Weyl group (tested).
 from __future__ import annotations
 
 from . import weyl
-from .laurent import S_PROFILE, LaurentPoly, _tokenize, demazure_exponents, parse_poly
+from .laurent import S_PROFILE, LaurentPoly, TokenCursor, demazure_exponents
 
 __all__ = ["HeckeElt", "t_element", "t_inverse", "parse_hecke", "V", "ONE_S"]
 
@@ -290,21 +295,19 @@ def _tw_one(m: int) -> HeckeElt:
     return HeckeElt.basis(m, lam, weyl.sigma(m, 1).perm, _s_power(1 - m))
 
 
-def _tw_minus_one(m: int) -> HeckeElt:
-    lam = tuple(1 if j == m - 1 else 0 for j in range(m))
-    return HeckeElt.basis(m, lam, weyl.sigma(m, m - 1).perm if m > 1 else (0,), _s_power(1 - m))
-
-
 def _tw_power(m: int, k: int) -> HeckeElt:
+    """T_{w_1}^k = e^{-q(1,..,1)} T_{w_1}^r for q, r = divmod(k, m), since
+    T_{w_1}^m = e^{-(1,..,1)} is central."""
     got = _tw_cache.get((m, k))
     if got is not None:
         return got
-    if k == 0:
-        res = HeckeElt.one(m)
-    elif k > 0:
-        res = _tw_power(m, k - 1) * _tw_one(m)
+    q, r = divmod(k, m)
+    if q:
+        res = HeckeElt.e((-q,) * m) * _tw_power(m, r)
     else:
-        res = _tw_power(m, k + 1) * _tw_minus_one(m)
+        res = HeckeElt.one(m)
+        for _ in range(r):
+            res = res * _tw_one(m)
     _tw_cache[(m, k)] = res
     return res
 
@@ -340,113 +343,27 @@ def t_inverse(m: int, i: int) -> HeckeElt:
 # -- literal grammar ----------------------------------------------------------
 
 
-class _HeckeParser:
-    def __init__(self, m: int, tokens: list[str]):
-        self.m = m
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of Hecke literal")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> HeckeElt:
-        out = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
-        return out
-
-    def expr(self) -> HeckeElt:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        out = self.term().scale(sign)
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-            out = out + self.term().scale(sign)
-        return out
-
-    def term(self) -> HeckeElt:
-        out = self.factor()
-        while self.peek() == "*":
-            self.take()
-            out = out * self.factor()
-        return out
-
-    def int_list(self) -> list[int]:
-        self.expect("[")
-        vals: list[int] = []
-        while True:
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            tok = self.take()
-            if not tok.isdigit():
-                raise ValueError("expected integer in bracket list")
-            vals.append(sign * int(tok))
-            nxt = self.take()
-            if nxt == "]":
-                return vals
-            if nxt != ",":
-                raise ValueError(f"expected ',' or ']', got {nxt!r}")
-
-    def factor(self) -> HeckeElt:
-        tok = self.take()
-        if tok == "(":
-            # parenthesized s-coefficient
-            depth = 1
-            sub: list[str] = []
-            while depth:
-                nxt = self.take()
-                if nxt == "(":
-                    depth += 1
-                elif nxt == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                sub.append(nxt)
-            poly = parse_poly(S_PROFILE, " ".join(sub))
-            return HeckeElt.one(self.m).scale(poly)
-        if tok.isdigit():
-            return HeckeElt.one(self.m).scale(int(tok))
-        if tok == "s":
-            power = 1
-            if self.peek() == "^":
-                self.take()
-                neg = self.peek() == "-"
-                if neg:
-                    self.take()
-                power = int(self.take())
-                if neg:
-                    power = -power
-            return HeckeElt.one(self.m).scale(_s_power(power))
-        if tok == "e":
-            lam = self.int_list()
-            if len(lam) != self.m:
-                raise ValueError(f"e[...] needs {self.m} entries")
-            return HeckeElt.e(lam)
-        if tok == "T":
-            (i,) = self.int_list()
-            return HeckeElt.gen(self.m, i)
-        if tok == "Tw":
-            (k,) = self.int_list()
-            return HeckeElt.tw(self.m, k)
+def _hecke_factor(cur: TokenCursor, m: int) -> HeckeElt:
+    """``e[lam]``, ``T[i]``, ``Tw[k]``, or a coefficient: an integer, a power
+    of ``s`` or a parenthesized polynomial in ``s``."""
+    tok = cur.peek()
+    if tok in ("(", "s") or (tok is not None and tok.isdigit()):
+        return HeckeElt.one(m).scale(cur.poly_factor(S_PROFILE))
+    tok = cur.take()
+    if tok not in ("e", "T", "Tw"):
         raise ValueError(f"unexpected token {tok!r} in Hecke literal")
+    vals = cur.int_list()
+    if tok == "e":
+        if len(vals) != m:
+            raise ValueError(f"e[...] needs {m} entries, got {len(vals)}")
+        return HeckeElt.e(vals)
+    if len(vals) != 1:
+        raise ValueError(f"{tok}[...] takes one index, got {len(vals)}")
+    return HeckeElt.gen(m, vals[0]) if tok == "T" else HeckeElt.tw(m, vals[0])
 
 
 def parse_hecke(m: int, text: str) -> HeckeElt:
-    """Parse the grammar ``e[lam]``, ``T[i]``, ``Tw[k]``, ``*``, with integer
-    and s-polynomial coefficients."""
-    return _HeckeParser(m, _tokenize(text)).parse()
+    """Parse sums of products of ``e[lam]``, ``T[i]`` and ``Tw[k]`` with
+    integer and s-polynomial coefficients."""
+    cur = TokenCursor(text)
+    return cur.finish(cur.expr(lambda: _hecke_factor(cur, m), HeckeElt.zero(m)))

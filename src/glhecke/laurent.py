@@ -18,17 +18,19 @@ The three profiles used downstream:
 Besides ring arithmetic this module provides the telescoping quotient
 ``(e^lam - e^{s_i(lam)}) / (1 - e^{-alpha_i})`` (always an exact Laurent
 polynomial, computed as a closed-form sum rather than by trial division),
-symmetric-group orbit sums, exact rational specialization, and a round-trip
-text grammar like ``3*s^-2*x1^2 - x2``.
+symmetric-group orbit sums, exact rational specialization, a round-trip
+text grammar like ``3*s^-2*x1^2 - x2``, and ``TokenCursor``, the one literal
+reader that the Hecke and Weyl grammars build on.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "S_PROFILE",
@@ -40,6 +42,7 @@ __all__ = [
     "TermBudgetError",
     "check_term_cap",
     "check_terms",
+    "TokenCursor",
     "parse_poly",
     "demazure_exponents",
     "demazure_quotient",
@@ -414,39 +417,39 @@ class LaurentPoly:
 # -- parsing ------------------------------------------------------------------
 
 
+# an integer, an identifier, a punctuation mark, or any other visible character
+_TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z]\w*|[-+*^()\[\],])|(\S))", re.ASCII)
+
+
 def _tokenize(text: str) -> list[str]:
-    """Split a polynomial or Hecke literal into integers, identifiers
-    (letters, digits and ``_``) and the punctuation ``+-*^()[],``."""
+    """Split a literal into integers, identifiers (a letter, then letters,
+    digits and ``_``) and the punctuation ``+-*^()[],``."""
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()[],":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in literal")
+    for tok, bad in _TOKEN.findall(text):
+        if bad:
+            raise ValueError(f"bad character {bad!r} in literal")
+        tokens.append(tok)
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, profile: tuple[str, ...], tokens: list[str]):
-        self.profile = profile
-        self.tokens = tokens
+_T = TypeVar("_T")
+
+
+class TokenCursor:
+    """A cursor over the tokens of one literal: the single reader behind the
+    polynomial, Hecke and Weyl grammars.
+
+    It supplies the pieces they share (signed integers, an optional
+    ``^integer``, bracketed integer lists, the ``[+-] term {(+|-) term}`` /
+    ``factor {* factor}`` skeleton, the polynomial factor rule and the
+    trailing-input check); each grammar adds only its own atoms.  Every
+    malformed literal raises ValueError.
+    """
+
+    __slots__ = ("tokens", "pos")
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -455,61 +458,93 @@ class _PolyParser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ValueError("unexpected end of polynomial literal")
+            raise ValueError("unexpected end of literal")
         self.pos += 1
         return tok
 
-    def parse(self) -> LaurentPoly:
-        out = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at token {self.peek()!r}")
-        return out
+    def _got(self) -> str:
+        tok = self.peek()
+        return "end of literal" if tok is None else repr(tok)
 
-    def expr(self) -> LaurentPoly:
+    def expect(self, tok: str) -> None:
+        got = self.take()
+        if got != tok:
+            raise ValueError(f"expected {tok!r}, got {got!r}")
+
+    def integer(self, error: str = "expected an integer") -> int:
+        """``[-]digits``."""
         sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        out = self.term() * sign
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-            out = out + self.term() * sign
-        return out
+        if self.peek() == "-":
+            self.pos += 1
+            sign = -1
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            raise ValueError(f"{error}, got {self._got()}")
+        self.pos += 1
+        return sign * int(tok)
 
-    def term(self) -> LaurentPoly:
-        out = self.factor()
-        while self.peek() == "*":
-            self.take()
-            out = out * self.factor()
-        return out
+    def power(self) -> int:
+        """An optional ``^integer``; 1 when absent."""
+        if self.peek() != "^":
+            return 1
+        self.pos += 1
+        return self.integer("missing exponent after '^'")
 
-    def factor(self) -> LaurentPoly:
+    def int_list(self) -> list[int]:
+        """``[integer {, integer}]``."""
+        self.expect("[")
+        vals = [self.integer()]
+        while self.peek() == ",":
+            self.pos += 1
+            vals.append(self.integer())
+        if self.peek() != "]":
+            raise ValueError(f"unclosed '[': expected ',' or ']', got {self._got()}")
+        self.pos += 1
+        return vals
+
+    def expr(self, factor: Callable[[], _T], zero: _T) -> _T:
+        """``[+-] term {(+|-) term}`` with ``term = factor {* factor}``,
+        summed from ``zero``."""
+        out = zero
+        sign = self.take() if self.peek() in ("+", "-") else "+"
+        while True:
+            term = factor()
+            while self.peek() == "*":
+                self.pos += 1
+                term = term * factor()
+            out = out - term if sign == "-" else out + term
+            if self.peek() not in ("+", "-"):
+                return out
+            sign = self.take()
+
+    def poly_factor(self, profile: tuple[str, ...]) -> LaurentPoly:
+        """``( poly )``, an integer, or a variable of ``profile`` with an
+        optional power."""
         tok = self.take()
         if tok == "(":
-            inner = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis")
+            try:
+                inner = self.expr(lambda: self.poly_factor(profile), LaurentPoly.zero(profile))
+            except RecursionError:
+                raise ValueError("parentheses nested too deeply") from None
+            self.expect(")")
             return inner
         if tok.isdigit():
-            return LaurentPoly.const(self.profile, int(tok))
-        if tok not in self.profile:
-            raise ValueError(f"unknown variable {tok!r} for profile {self.profile}")
-        power = 1
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            nxt = self.take()
-            if nxt == "-":
-                neg = True
-                nxt = self.take()
-            if not nxt.isdigit():
-                raise ValueError("exponent must be an integer")
-            power = -int(nxt) if neg else int(nxt)
-        return LaurentPoly.variable(self.profile, tok, power)
+            return LaurentPoly.const(profile, int(tok))
+        if tok not in profile:
+            raise ValueError(f"unknown variable {tok!r} for profile {profile}")
+        return LaurentPoly.variable(profile, tok, self.power())
+
+    def finish(self, value: _T) -> _T:
+        """Return ``value`` if every token was read."""
+        if self.peek() is not None:
+            raise ValueError(f"trailing input at token {self._got()}")
+        return value
 
 
 def parse_poly(profile: tuple[str, ...], text: str) -> LaurentPoly:
     """Parse the polynomial grammar; parse(print(p)) == p bit-exactly."""
-    return _PolyParser(profile, _tokenize(text)).parse()
+    cur = TokenCursor(text)
+    return cur.finish(cur.expr(lambda: cur.poly_factor(profile), LaurentPoly.zero(profile)))
 
 
 # -- Demazure quotient and orbit sums -----------------------------------------

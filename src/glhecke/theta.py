@@ -36,7 +36,7 @@ from itertools import combinations, permutations, product
 from operator import mul
 
 from . import polyrep, springer
-from .hecke import HeckeElt
+from .hecke import HeckeElt, parse_hecke
 from .laurent import GS_PROFILE, LaurentPoly, demazure_exponents, gx_profile
 from .linalg import det_laurent
 
@@ -137,17 +137,6 @@ def generator_keys(m: int) -> list[str]:
     return keys
 
 
-def _generator_element(m: int, key: str) -> HeckeElt:
-    if key.startswith("T["):
-        return HeckeElt.gen(m, int(key[2:-1]))
-    if key.startswith("Tw["):
-        return HeckeElt.tw(m, int(key[3:-1]))
-    if key.startswith("e["):
-        lam = tuple(int(v) for v in key[2:-1].split(","))
-        return HeckeElt.e(lam)
-    raise ValueError(f"unknown generator key {key!r}")
-
-
 def _matrix_of(m: int, h: HeckeElt) -> PolyMatrix:
     basis = springer.theorem_basis(m)
     cols = [springer.k_act(h, b).coords for b in basis]
@@ -170,7 +159,7 @@ def _matrix(m: int, key: str) -> PolyMatrix:
         if key in _SCALARS:
             got = _scalar_matrix(m, _SCALARS[key])
         else:
-            got = _matrix_of(m, _generator_element(m, key))
+            got = _matrix_of(m, parse_hecke(m, key))
         _matrix_cache[(m, key)] = got
     return got
 

@@ -11,19 +11,26 @@ The length function is the closed formula
 
 cross-checked in the test suite against an inversion count in the periodic
 permutation model (u(k) = w(k) - m*lam_{w(k)}, u(k+m) = u(k)+m) and against
-breadth-first search over the Cayley graph.  The length-zero subgroup Omega
-is infinite cyclic, generated by w1 = t^{-omega_1} sigma_1 where sigma_i is
-the rotation sending (1,...,m) to (i+1,...,m,1,...,i).
+breadth-first search over the Cayley graph.  Right descents, and so the
+greedy reduced words, are read off that window.  The length-zero subgroup
+Omega is infinite cyclic, generated by w1 = t^{-omega_1} sigma_1 where
+sigma_i is the rotation sending (1,...,m) to (i+1,...,m,1,...,i).
 
 Note the sign: with the affine simple reflection fixed as
 s_m = t^{(-1,0,...,0,1)} (1 m), the length-zero elements are t^{-omega_i}
 sigma_i.  The opposite pairing t^{+omega_i} sigma_i (which also appears in
 print) has length 2i(m-i) and is exposed as ``omega_opposite_sign``.
+
+Literals ``t[1,0]*p[2,1]*W1^-3`` are read by ``parse_weyl`` on the shared
+``laurent.TokenCursor``.  Elements are tuples, but tuple ``+`` and integer
+``*`` raise TypeError: only the group product is defined.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .laurent import TokenCursor
 
 __all__ = [
     "AffineWeylElt",
@@ -72,6 +79,14 @@ class AffineWeylElt(NamedTuple):
         for i, v in zip(p1, t2):
             out[i] += v
         return AffineWeylElt(tuple(out), tuple(map(p1.__getitem__, p2)))
+
+    def __add__(self, other):
+        raise TypeError("AffineWeylElt has no addition; * is the group product")
+
+    __radd__ = __add__
+
+    def __rmul__(self, other):
+        raise TypeError("AffineWeylElt has no scalar multiple; * is the group product")
 
     def inverse(self) -> "AffineWeylElt":
         pinv = _invert(self.perm)
@@ -190,24 +205,24 @@ def window_inversions(w: AffineWeylElt) -> int:
 def reduced_word(w: AffineWeylElt) -> tuple[int, list[int]]:
     """Decompose w = w1^k * s_{i1} ... s_{il} with l = length(w).
 
-    Greedy right-descent stripping, smallest index first; the Omega power k
-    is read off the leftover translation.  Recomposition is exact.
+    Greedy right-descent stripping, smallest index first.  A right descent
+    is read off the window: s_i for i < m is one iff u(i) > u(i+1), and the
+    affine node s_m iff u(m) > u(m+1) = u(1) + m.  An element without one
+    has length zero; the Omega power k is read off its translation.
+    Recomposition is exact.
     """
     m = w.m
     gens = [simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
     cur = w
-    cur_len = length(cur)
     records: list[int] = []
-    while cur_len > 0:
-        for i, g in enumerate(gens, 1):
-            nxt = cur * g
-            nxt_len = length(nxt)
-            if nxt_len < cur_len:
-                records.append(i)
-                cur, cur_len = nxt, nxt_len
-                break
-        else:
-            raise AssertionError("positive length but no descent")
+    while gens:
+        u = window(cur)
+        u += (u[0] + m,)
+        i = next((i for i in range(1, m + 1) if u[i - 1] > u[i]), 0)
+        if not i:
+            break
+        records.append(i)
+        cur = cur * gens[i - 1]
     k = -sum(cur.trans)
     if cur != omega(m, k):
         raise AssertionError("leftover is not a length-zero element")
@@ -231,56 +246,34 @@ def format_weyl(w: AffineWeylElt) -> str:
     return f"t[{lam}]*p[{pi}]"
 
 
+def _weyl_factor(cur: TokenCursor, m: int) -> AffineWeylElt:
+    """``t[lam]``, ``p[pi]`` or ``W1``, with an optional power."""
+    tok = cur.take()
+    if tok == "W1":
+        atom = omega(m, 1)
+    elif tok == "t":
+        vals = cur.int_list()
+        if len(vals) != m:
+            raise ValueError(f"translation needs {m} entries, got {len(vals)}")
+        atom = translation(vals)
+    elif tok == "p":
+        vals = cur.int_list()
+        if sorted(vals) != list(range(1, m + 1)):
+            raise ValueError("permutation must list 1..m")
+        atom = from_perm(tuple(v - 1 for v in vals))
+    else:
+        raise ValueError(f"bad atom {tok!r} in Weyl literal")
+    return atom ** cur.power()
+
+
 def parse_weyl(m: int, text: str) -> AffineWeylElt:
     """Parse products of ``t[...]``, ``p[...]`` and ``W1`` atoms, with
-    optional ^integer powers."""
-    pos = 0
-    text = text.strip()
+    optional ^integer powers; the ``*`` between atoms may be left out."""
+    cur = TokenCursor(text)
     result = identity(m)
-
-    def read_bracket(start: int) -> tuple[list[int], int]:
-        if start >= len(text) or text[start] != "[":
-            raise ValueError("expected '['")
-        end = text.find("]", start)
-        if end < 0:
-            raise ValueError(f"unclosed '[' in {text!r}")
-        inner = text[start + 1 : end].strip()
-        vals = [int(v) for v in inner.split(",")] if inner else []
-        return vals, end + 1
-
-    def read_power(start: int) -> tuple[int, int]:
-        if start < len(text) and text[start] == "^":
-            j = start + 1
-            if j < len(text) and text[j] == "-":
-                j += 1
-            digits = j
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == digits:
-                raise ValueError(f"missing exponent after '^' in {text!r}")
-            return int(text[start + 1 : j]), j
-        return 1, start
-
-    while pos < len(text):
-        if text[pos].isspace() or text[pos] == "*":
-            pos += 1
-            continue
-        if text.startswith("W1", pos):
-            power, pos = read_power(pos + 2)
-            atom = omega(m, 1)
-        elif text[pos] == "t":
-            vals, pos = read_bracket(pos + 1)
-            if len(vals) != m:
-                raise ValueError(f"translation needs {m} entries")
-            power, pos = read_power(pos)
-            atom = translation(vals)
-        elif text[pos] == "p":
-            vals, pos = read_bracket(pos + 1)
-            if sorted(vals) != list(range(1, m + 1)):
-                raise ValueError("permutation must list 1..m")
-            power, pos = read_power(pos)
-            atom = from_perm(tuple(v - 1 for v in vals))
+    while cur.peek() is not None:
+        if cur.peek() == "*":
+            cur.take()
         else:
-            raise ValueError(f"bad atom at {text[pos:]!r}")
-        result = result * atom**power
+            result = result * _weyl_factor(cur, m)
     return result

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from glhecke import springer, theta, weyl
 from glhecke.hecke import HeckeElt, parse_hecke, t_element
-from glhecke.laurent import S_PROFILE, LaurentPoly, demazure_exponents, x_profile
+from glhecke.laurent import S_PROFILE, LaurentPoly, demazure_exponents, parse_poly, x_profile
 
 
 def test_poly_pow_edges():
@@ -40,6 +40,46 @@ def test_weyl_parse_errors():
         weyl.parse_weyl(2, "W1^x")
     with pytest.raises(ValueError, match=r"unclosed '\['"):
         weyl.parse_weyl(2, "t[1,2")
+
+
+def test_literal_error_messages():
+    with pytest.raises(ValueError, match="takes one index"):
+        parse_hecke(2, "T[1,2]")
+    with pytest.raises(ValueError, match="takes one index"):
+        parse_hecke(2, "Tw[1,-2]")
+    with pytest.raises(ValueError, match=r"missing exponent after '\^'"):
+        parse_hecke(2, "s^x")
+    with pytest.raises(ValueError, match=r"missing exponent after '\^'"):
+        parse_poly(S_PROFILE, "s^x")
+    with pytest.raises(ValueError, match="expected an integer"):
+        weyl.parse_weyl(2, "t[1, a]")
+    with pytest.raises(ValueError, match="needs 2 entries"):
+        parse_hecke(2, "e[1]")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_poly(S_PROFILE, "(" * 2000 + "s" + ")" * 2000)
+
+
+# the tokens of all three grammars: small integers, identifiers, punctuation
+_LITERAL_TOKENS = st.sampled_from(
+    [str(n) for n in range(13)]
+    + ["s", "x1", "x2", "g", "e", "T", "Tw", "t", "p", "W1"]
+    + list("+-*^()[],")
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(_LITERAL_TOKENS, max_size=12), st.integers(1, 3))
+def test_literal_fuzz_parses_or_raises_value_error(tokens, m):
+    text = " ".join(tokens)
+    for parse in (
+        lambda: parse_poly(x_profile(m), text),
+        lambda: parse_hecke(m, text),
+        lambda: weyl.parse_weyl(m, text),
+    ):
+        try:
+            parse()
+        except ValueError:
+            pass
 
 
 def test_reflection_bounds():

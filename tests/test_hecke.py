@@ -185,6 +185,25 @@ def test_literals_round_trip():
         parse_hecke(2, "T[1")
 
 
+def test_tw_powers_match_iterated_products():
+    for m in range(1, 5):
+        # T_{w1}^{-1} = s^{1-m} e^{(0,..,0,1)} T_{sigma_1^{-1}}, an independent form
+        lam = (0,) * (m - 1) + (1,)
+        inv = HeckeElt.basis(m, lam, weyl.sigma(m, m - 1).perm, s_pow(1 - m))
+        assert HeckeElt.tw(m, -1) == inv
+        assert HeckeElt.tw(m, 1) * inv == HeckeElt.one(m)
+        # T_{w1}^m = e^{-(1,..,1)}
+        assert HeckeElt.tw(m, m) == HeckeElt.e((-1,) * m)
+        for sign in (1, -1):
+            step, power = HeckeElt.tw(m, sign), HeckeElt.one(m)
+            for k in range(2 * m + 2):
+                assert HeckeElt.tw(m, sign * k) == power, (m, sign * k)
+                power = power * step
+    # deep powers split off the central part and need no recursion
+    assert HeckeElt.tw(2, 3000) == HeckeElt.e((-1500, -1500))
+    assert HeckeElt.tw(3, -3001) == HeckeElt.e((1000, 1000, 1000)) * HeckeElt.tw(3, -1)
+
+
 # -- algebra axioms on random elements (Hypothesis) ----------------------------
 
 s_coeffs = st.lists(
@@ -215,6 +234,12 @@ def convolve(f, g):
         for y, cy in g.items():
             out[x * y] = out.get(x * y, 0) + cx * cy
     return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]).flatmap(hecke_elts))
+def test_literal_round_trip_property(h):
+    assert parse_hecke(h.m, str(h)) == h
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

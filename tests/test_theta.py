@@ -7,6 +7,7 @@ import os
 import pytest
 
 from glhecke import springer, theta
+from glhecke.hecke import parse_hecke
 from glhecke.laurent import GS_PROFILE, LaurentPoly
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -94,7 +95,7 @@ def test_relation_words_match_kact_chain():
             for j, b in enumerate(basis):
                 chain = b
                 for key in reversed(word):
-                    chain = springer.k_act(theta._generator_element(m, key), chain)
+                    chain = springer.k_act(parse_hecke(m, key), chain)
                 col = tuple(prod[i][j] for i in range(m))
                 assert chain.coords == col, (m, word, j)
                 entries = tuple(

@@ -170,6 +170,10 @@ def test_cli_eval():
     assert proc.stdout.strip() == "x1*s^2"
     proc = run_cli("eval", "--m", "2", "(s^2 - 1)*e[1,0] * x1")
     assert proc.stdout.strip() == "s^2 - 1"
+    # Tw[2k] = e^(-k,-k) at m = 2; the power costs no recursion
+    proc = run_cli("eval", "--m", "2", "Tw[3000] * 1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "x1^1500*x2^1500"
 
 
 def test_cli_eval_affine():
@@ -228,6 +232,9 @@ def test_cli_error_paths(tmp_path):
         ("eval", "--m", "2", "nonsense"),
         ("eval", "--m", "2", "T_1 * 1"),
         ("eval", "--m", "2", "T[1] * x1 $"),
+        ("eval", "--m", "2", "T[1,2] * 1"),
+        ("eval", "--m", "2", "e[1] * 1"),
+        ("eval", "--m", "2", "s^x * 1"),
         ("verify", "hecke", "--m", "0..2"),
         ("verify", "hecke", "--m", "3..2"),
         ("verify", "hecke", "--m", "2.."),

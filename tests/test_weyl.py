@@ -141,6 +141,40 @@ def test_reduced_word_examples():
         assert (k, word) == (0, list(range(m - 1, 0, -1)))
 
 
+def trial_length_reduced_word(w):
+    """The earlier reduced_word, kept as the reference for the greedy
+    smallest-index-first order: each trial right descent costs a product
+    and a full length."""
+    m = w.m
+    gens = [weyl.simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
+    cur, cur_len, records = w, weyl.length(w), []
+    while cur_len > 0:
+        for i, g in enumerate(gens, 1):
+            nxt = cur * g
+            if weyl.length(nxt) < cur_len:
+                records.append(i)
+                cur, cur_len = nxt, weyl.length(nxt)
+                break
+        else:
+            raise AssertionError("positive length but no descent")
+    return -sum(cur.trans), records[::-1]
+
+
+weyl_elts = st.integers(1, 6).flatmap(
+    lambda m: st.builds(
+        weyl.AffineWeylElt,
+        st.tuples(*[st.integers(-3, 3)] * m),
+        st.permutations(range(m)).map(tuple),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weyl_elts)
+def test_reduced_word_matches_trial_length_reference(w):
+    assert weyl.reduced_word(w) == trial_length_reduced_word(w)
+
+
 def test_reduced_word_round_trip():
     rng = random.Random(4)
     for _ in range(300):
@@ -184,3 +218,22 @@ def test_literals():
     assert weyl.parse_weyl(2, "W1") == weyl.omega(2, 1)
     assert weyl.parse_weyl(2, "W1^-3") == weyl.omega(2, -3)
     assert weyl.parse_weyl(2, "W1^2 * t[1,0]") == weyl.omega(2, 2) * weyl.translation((1, 0))
+    # juxtaposition multiplies too
+    assert weyl.parse_weyl(2, "W1^2 t[1,0]p[2,1]") == weyl.parse_weyl(2, "W1^2*t[1,0]*p[2,1]")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weyl_elts)
+def test_literal_round_trip_property(w):
+    assert weyl.parse_weyl(w.m, weyl.format_weyl(w)) == w
+
+
+def test_tuple_operators_are_refused():
+    # AffineWeylElt is a tuple, but tuple + and int * are not group operations
+    w = weyl.omega(2, 1)
+    with pytest.raises(TypeError):
+        w + w
+    with pytest.raises(TypeError):
+        2 * w
+    with pytest.raises(TypeError):
+        w * 2
