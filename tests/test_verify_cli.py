@@ -210,6 +210,16 @@ def test_cli_springer_bases():
     assert payload["lusztig_basis"][1] == ["g", "1"]
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_cli_springer_bases_golden(m, tmp_path):
+    # the goldens are `glhecke springer --m M --show bases --json` output; from
+    # m = 3 on they hold Lusztig entries that are not Laurent polynomials
+    out = tmp_path / "bases.json"
+    assert main(["springer", "--m", str(m), "--show", "bases", "--json", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"springer_bases_m{m}.json")) as fh:
+        assert out.read_text() == fh.read()
+
+
 def test_cli_theta_matrices():
     proc = run_cli("theta", "--m", "2", "--matrices")
     payload = json.loads(proc.stdout)
