@@ -15,7 +15,9 @@ any other non-empty value is rejected with exit code 2.
 ``verify`` exits 0 when every check passes, 1 when a check fails, 2 on bad
 input, and 3 when a check hit the term cap, memory or the recursion limit
 (status ``error``), so its identity was not decided.  A failure takes
-precedence: a run with both a failed and an errored check exits 1.
+precedence: a run with both a failed and an errored check exits 1.  Every
+other subcommand that hits the term cap prints ``error: ...`` on stderr,
+nothing on stdout, and exits 3 as well.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from contextlib import nullcontext
 
 from . import springer, theta, verify
 from .hecke import parse_hecke
-from .laurent import check_term_cap, parse_poly, x_profile
+from .laurent import TermBudgetError, check_term_cap, parse_poly, x_profile
 from .polyrep import act
 
 
@@ -144,6 +146,14 @@ def _generator_key(m: int, generator: str) -> str:
     return key
 
 
+def _lusztig_text(num) -> str:
+    """A solved Lusztig entry num / (1 - s^2): the Laurent quotient when it
+    exists, else the fraction."""
+    den = springer.LUSZTIG_DENOMINATOR
+    q = num.div_exact(den)
+    return f"({num}) / ({den})" if q is None else str(q)
+
+
 def _cmd_springer(args, sink) -> int:
     m = args.m
     if args.show == "flags":
@@ -171,7 +181,7 @@ def _cmd_springer(args, sink) -> int:
                 [str(e) for e in cls.entries] for cls in tables.theorem
             ],
             "lusztig_basis": [
-                [str(entry) for entry in row] for row in tables.lusztig
+                [_lusztig_text(num) for num in row] for row in tables.lusztig
             ],
         }
     else:  # matrix
@@ -282,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TermBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ algebra of the extended affine Weyl group (tested).
 from __future__ import annotations
 
 from . import weyl
-from .laurent import S_PROFILE, LaurentPoly, TokenCursor, demazure_exponents
+from .laurent import S_PROFILE, LaurentPoly, TokenCursor, check_terms, demazure_exponents
 
 __all__ = ["HeckeElt", "t_element", "t_inverse", "parse_hecke", "V", "ONE_S"]
 
@@ -127,6 +127,7 @@ class HeckeElt:
                 terms.pop(key, None)
             else:
                 terms[key] = c2
+        check_terms(len(terms))
         return HeckeElt(self.m, terms)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
@@ -189,6 +190,7 @@ class HeckeElt:
                 cdq = (ONE_MINUS_V if exps[0][1] > 0 else V_MINUS_1) * c
                 for mu, _ in exps:
                     bump(mu, w, cdq)
+        check_terms(len(out))
         return HeckeElt(m, out)
 
     def right_mul_gen(self, i: int) -> "HeckeElt":
@@ -211,6 +213,7 @@ class HeckeElt:
             else:
                 bump((lam, w), V_MINUS_1 * c)
                 bump((lam, sw), V * c)
+        check_terms(len(out))
         return HeckeElt(self.m, out)
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
@@ -231,6 +234,7 @@ class HeckeElt:
                     out.pop(key, None)
                 else:
                     out[key] = c3
+        check_terms(len(out))
         return HeckeElt(self.m, out)
 
     def __pow__(self, n: int) -> "HeckeElt":

@@ -1,129 +1,21 @@
-"""Small exact linear algebra over the fraction field of Z[g^{+-1}, s^{+-1}].
-
-Entries are RationalFn pairs (numerator, denominator LaurentPoly) with light
-normalization: integer content and monomial content are stripped and exact
-divisions collapsed, but no multivariate gcd is attempted.  Everything stays
-exact; zero tests reduce to zero tests on numerators.
-
-Also: symbolic determinants over the Laurent ring by fraction-free Bareiss
-elimination (``det_laurent``), with signed permutation expansion
-(``det_expansion``) kept as its independent oracle, and rational nullspaces
-over plain Fractions.
+"""Small exact linear algebra: symbolic determinants over the Laurent ring
+Z[g^{+-1}, s^{+-1}] by fraction-free Bareiss elimination (``det_laurent``),
+with signed permutation expansion (``det_expansion``) kept as its
+independent oracle, and rational nullspaces over plain Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
 
 from .laurent import LaurentPoly
 
 __all__ = [
-    "RationalFn",
     "det_laurent",
     "det_expansion",
     "nullspace",
 ]
-
-
-def _content(p: LaurentPoly) -> int:
-    c = 0
-    for v in p.terms.values():
-        c = gcd(c, abs(v))
-        if c == 1:
-            return 1
-    return c or 1
-
-
-def _monomial_shift(p: LaurentPoly) -> tuple[int, ...]:
-    n = len(p.profile)
-    return tuple(min(k[i] for k in p.terms) for i in range(n))
-
-
-def _shift(p: LaurentPoly, by: tuple[int, ...]) -> LaurentPoly:
-    return LaurentPoly(
-        p.profile, {tuple(e - s for e, s in zip(k, by)): c for k, c in p.terms.items()}
-    )
-
-
-class RationalFn:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None, reduce: bool = True):
-        if den is None:
-            den = LaurentPoly.one(num.profile)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero():
-            q = num.div_exact(den)
-            if q is not None:
-                num, den = q, LaurentPoly.one(num.profile)
-            else:
-                shift = _monomial_shift(den)
-                if any(shift):
-                    den = _shift(den, shift)
-                    num = _shift(num, shift)
-                c = gcd(_content(num), _content(den))
-                if c > 1:
-                    num = LaurentPoly(num.profile, {k: v // c for k, v in num.terms.items()})
-                    den = LaurentPoly(den.profile, {k: v // c for k, v in den.terms.items()})
-        if num.is_zero():
-            den = LaurentPoly.one(num.profile)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(p: LaurentPoly) -> "RationalFn":
-        return RationalFn(p, None, reduce=False)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        if self.den == other.den:
-            return RationalFn(self.num - other.num, self.den)
-        return RationalFn(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den, reduce=False)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        if self.num.is_zero() or other.num.is_zero():
-            return RationalFn(LaurentPoly.zero(self.num.profile), None, reduce=False)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFn") -> "RationalFn":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self) -> int:
-        raise TypeError("RationalFn is not hashable")
-
-    def to_laurent(self) -> LaurentPoly | None:
-        """The Laurent polynomial this equals, or None if denominators do
-        not clear."""
-        if self.den.is_one():
-            return self.num
-        return self.num.div_exact(self.den)
-
-    def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
 
 
 def det_expansion(m: list[list[LaurentPoly]]) -> LaurentPoly:

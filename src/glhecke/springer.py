@@ -13,8 +13,8 @@ fiber weights; the two declared bases are
     are monomial and whose span carries the Hecke action, and
   * the Lusztig basis  O_{p_1}, O_{V_i}(-1), solved from the change-of-basis
     system below rather than re-derived from sheaf theory.  At nodal fixed
-    points its entries are honest rational functions, so the Lusztig table
-    is returned over the fraction field.
+    points its entries are honest rational functions, all with denominator
+    1 - s^2, so the Lusztig table holds their numerators over 1 - s^2.
 
 The change-of-basis rows (with X_0 = O_{p_1}, X_j = O_{V_j}(-1)):
 
@@ -41,7 +41,7 @@ from typing import NamedTuple
 from . import polyrep
 from .hecke import HeckeElt
 from .laurent import GS_PROFILE, LaurentPoly, gx_profile, is_symmetric, x_profile
-from .linalg import RationalFn, det_laurent, nullspace
+from .linalg import det_laurent, nullspace
 
 __all__ = [
     "FixedFlagTable",
@@ -53,6 +53,7 @@ __all__ = [
     "theorem_basis",
     "declared_bases",
     "BasisTables",
+    "LUSZTIG_DENOMINATOR",
     "k_act",
     "res_sigma",
     "bundle_identities_hold",
@@ -337,14 +338,19 @@ def res_sigma(p: LaurentPoly, m: int) -> LaurentPoly:
 # -- declared bases ------------------------------------------------------------
 
 
+# every solved Lusztig entry is a Laurent polynomial over this; built from
+# terms, not by arithmetic, so importing never meets GLHECKE_MAX_TERMS
+LUSZTIG_DENOMINATOR = LaurentPoly.from_terms(GS_PROFILE, (((0, 2), -1), ((0, 0), 1)))
+
+
 @dataclass(frozen=True)
 class BasisTables:
-    """Solved Lusztig tuples (over the fraction field), theorem tuples, and
-    the determinant of the change-of-basis system."""
+    """Solved Lusztig tuples, as numerators over LUSZTIG_DENOMINATOR = 1 - s^2,
+    theorem tuples, and the determinant of the change-of-basis system."""
 
     m: int
     theorem: tuple[KClass, ...]
-    lusztig: tuple[tuple[RationalFn, ...], ...]  # rows: O_{p_1}, O_{V_1}(-1), ...
+    lusztig: tuple[tuple[LaurentPoly, ...], ...]  # rows: O_{p_1}, O_{V_1}(-1), ...
     system_det: LaurentPoly
 
 
@@ -375,8 +381,9 @@ def declared_bases(m: int) -> BasisTables:
 
     The X-block is triangularized by differencing adjacent normalized rows:
     with tail_k = X_k + sum_{j>k} s^{2(j-k)} X_j one has tail_1 = R'_1 and
-    (1 - s^2) tail_{k+1} = R'_{k+1} - R'_k, so the only fraction-field step
-    is division by 1 - s^2 (solved tuples are genuinely rational at nodes).
+    (1 - s^2) tail_{k+1} = R'_{k+1} - R'_k, so the only division is by
+    1 - s^2 (solved tuples are genuinely rational at nodes).  Every entry is
+    kept as its numerator over 1 - s^2.
     """
     system = _system_matrix(m)
     det = det_laurent(system)
@@ -386,32 +393,25 @@ def declared_bases(m: int) -> BasisTables:
     l_classes = [
         restrict_line_bundle(m, [1] * k + [0] * (m - k)) for k in range(1, m)
     ]
-    one_minus_v = RationalFn.of(LaurentPoly.one(GS_PROFILE) - _gs(0, 2))
-    xs: list[list[RationalFn]] = [[] for _ in range(m)]  # xs[i][k]
+    den = LUSZTIG_DENOMINATOR
+    vsq = _gs(0, 2)
+    cols = []  # cols[k][i]: numerator of X_i at p_{k+1}
     for k in range(m):
-        b0 = RationalFn.of(o_class.entries[k])
         normalized = [
-            RationalFn.of(l_classes[j - 1].entries[k] * _gs(0, -(j - 1) * (m - j)))
-            for j in range(1, m)
+            l_classes[j - 1].entries[k] * _gs(0, -(j - 1) * (m - j)) for j in range(1, m)
         ]
-        tails: list[RationalFn] = [RationalFn.of(LaurentPoly.zero(GS_PROFILE))] * (m - 1)
-        if m >= 2:
-            tails[0] = normalized[0]
-            for j in range(1, m - 1):
-                tails[j] = (normalized[j] - normalized[j - 1]) / one_minus_v
-        col = [RationalFn.of(LaurentPoly.zero(GS_PROFILE))] * m
-        vsq = RationalFn.of(_gs(0, 2))
-        for j in range(m - 1, 0, -1):
-            col[j] = tails[j - 1]
-            if j < m - 1:
-                col[j] = tails[j - 1] - vsq * tails[j]
-        acc = b0
+        # numerators of tail_1, ..., tail_{m-1}, then tail_m = 0
+        tails = (
+            [p * den for p in normalized[:1]]
+            + [b - a for a, b in zip(normalized, normalized[1:])]
+            + [LaurentPoly.zero(GS_PROFILE)]
+        )
+        col = [o_class.entries[k] * den]
+        col += [tails[j - 1] - vsq * tails[j] for j in range(1, m)]
         for j in range(1, m):
-            acc = acc - RationalFn.of(_gs(0, 2 * j - m)) * col[j]
-        col[0] = acc
-        for i in range(m):
-            xs[i].append(col[i])
-    lusztig = tuple(tuple(row) for row in xs)
+            col[0] = col[0] - _gs(0, 2 * j - m) * col[j]
+        cols.append(col)
+    lusztig = tuple(zip(*cols))
     return BasisTables(m, tuple(theorem_basis(m)), lusztig, det)
 
 
@@ -425,7 +425,8 @@ def skyscraper_pm(m: int) -> KClass:
 def bundle_identities_hold(m: int) -> bool:
     """Check the line-bundle restriction table and the O_{V_i}(-1) twist
     identities as exact monomial identities, plus the consistency of the
-    solved Lusztig tuples with the end-point fiber values."""
+    solved Lusztig tuples with the end-point fiber values (compared as
+    numerators over 1 - s^2)."""
     table = flags(m)
     # restriction table for L_{omega_k} on V_j (fixed points p_j, p_{j+1})
     for k in range(1, m):
@@ -456,12 +457,12 @@ def bundle_identities_hold(m: int) -> bool:
         if left2 != right2:
             return False
     # solved tuples: supports and end-point values
+    den = LUSZTIG_DENOMINATOR
     tables = declared_bases(m)
     x0 = tables.lusztig[0]
     if m == 1:
-        return x0[0].to_laurent() == LaurentPoly.one(GS_PROFILE)
-    want_x0 = LaurentPoly.one(GS_PROFILE) - _gs(1, 2 - m)
-    if x0[0].to_laurent() != want_x0:
+        return x0[0] == den
+    if x0[0] != den * (LaurentPoly.one(GS_PROFILE) - _gs(1, 2 - m)):
         return False
     if any(not x0[k].is_zero() for k in range(1, m)):
         return False
@@ -471,9 +472,9 @@ def bundle_identities_hold(m: int) -> bool:
             inside = k in (i - 1, i)
             if not inside and not xi[k].is_zero():
                 return False
-        if i == 1 and xi[0].to_laurent() != _gs(1, 0):
+        if i == 1 and xi[0] != den * _gs(1, 0):
             return False
-        if i == m - 1 and xi[m - 1].to_laurent() != _gs(0, 2 - m):
+        if i == m - 1 and xi[m - 1] != den * _gs(0, 2 - m):
             return False
     return True
 

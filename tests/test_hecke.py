@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhecke import weyl
+from glhecke import laurent, weyl
 from glhecke.hecke import (
     HeckeElt,
     ONE_S,
@@ -18,7 +18,7 @@ from glhecke.hecke import (
     t_element,
     t_inverse,
 )
-from glhecke.laurent import S_PROFILE, LaurentPoly, demazure_exponents
+from glhecke.laurent import S_PROFILE, LaurentPoly, TermBudgetError, demazure_exponents
 
 
 def s_pow(k):
@@ -202,6 +202,32 @@ def test_tw_powers_match_iterated_products():
     # deep powers split off the central part and need no recursion
     assert HeckeElt.tw(2, 3000) == HeckeElt.e((-1500, -1500))
     assert HeckeElt.tw(3, -3001) == HeckeElt.e((1000, 1000, 1000)) * HeckeElt.tw(3, -1)
+
+
+def test_hecke_arithmetic_honours_term_cap(monkeypatch):
+    # T[1] e[200000,0] has a Bernstein correction of 200,000 terms: the cap
+    # stops it before the exponent list is built, not after
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 1000)
+    with pytest.raises(TermBudgetError):
+        demazure_exponents((0, 200000), 1)
+    with pytest.raises(TermBudgetError):
+        parse_hecke(2, "T[1]*e[200000,0]")
+    # sums and products count their basis terms too: each result below has
+    # 3 or 4 terms, from operands of at most 2
+    a, b = parse_hecke(2, "e[1,0] + e[2,0]"), parse_hecke(2, "T[1]*e[1,0]")
+    ops = (
+        lambda: a + HeckeElt.e((3, 0)),
+        lambda: HeckeElt.e((2, 0)).left_mul_gen(1),
+        lambda: b.right_mul_gen(1),
+        lambda: a * parse_hecke(2, "e[0,1] + e[0,2]"),
+    )
+    assert [len(op().terms) for op in ops] == [3, 3, 3, 4]
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 2)
+    for op in ops:
+        with pytest.raises(TermBudgetError):
+            op()
+    monkeypatch.undo()
+    assert len(parse_hecke(2, "T[1]*e[200,0]").terms) == 201
 
 
 # -- algebra axioms on random elements (Hypothesis) ----------------------------

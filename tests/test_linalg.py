@@ -1,5 +1,4 @@
-"""Exact linear algebra: rational functions, two determinant routes, and
-rational nullspaces."""
+"""Exact linear algebra: two determinant routes and rational nullspaces."""
 
 import random
 from fractions import Fraction
@@ -9,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glhecke.laurent import GS_PROFILE, LaurentPoly
-from glhecke.linalg import (
-    RationalFn,
-    det_expansion,
-    det_laurent,
-    nullspace,
-)
+from glhecke.linalg import det_expansion, det_laurent, nullspace
 
 
 def rand_poly(rng, max_terms=3):
@@ -23,23 +17,6 @@ def rand_poly(rng, max_terms=3):
         key = (rng.randint(-2, 2), rng.randint(-2, 2))
         terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
     return LaurentPoly(GS_PROFILE, {k: v for k, v in terms.items() if v})
-
-
-def test_rationalfn_arithmetic():
-    g = LaurentPoly.variable(GS_PROFILE, "g")
-    s = LaurentPoly.variable(GS_PROFILE, "s")
-    one = LaurentPoly.one(GS_PROFILE)
-    a = RationalFn(one, g - s)
-    b = RationalFn(g + s, one)
-    assert (a * b) == RationalFn(g + s, g - s)
-    # (g+s)/(g-s) - (g+s)/(g-s) = 0
-    assert ((a * b) - (a * b)).is_zero()
-    # 1/(g-s) * (g-s) collapses to 1
-    assert (a * RationalFn.of(g - s)).to_laurent() == one
-    assert RationalFn(g * g - s * s, g + s).to_laurent() == g - s
-    assert RationalFn(g, g - s).to_laurent() is None
-    with pytest.raises(ZeroDivisionError):
-        RationalFn(one, LaurentPoly.zero(GS_PROFILE))
 
 
 def test_determinant_two_routes():

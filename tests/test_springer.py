@@ -54,29 +54,31 @@ def test_determinant_bundle_is_g():
 
 
 def test_declared_bases_m1():
+    # the one Lusztig entry is 1, so its numerator is the denominator itself
     tables = springer.declared_bases(1)
-    assert tables.lusztig[0][0].to_laurent() == LaurentPoly.one(GS_PROFILE)
+    assert tables.lusztig[0][0] == springer.LUSZTIG_DENOMINATOR
     assert not tables.system_det.is_zero()
 
 
 def test_declared_bases_m2_identity():
-    # O = O_(p_1) + O_(V_1)(-1)  (s^(2j-m) = s^0 at m = 2)
+    # O = O_(p_1) + O_(V_1)(-1)  (s^(2j-m) = s^0 at m = 2), on numerators over 1 - s^2
+    den = springer.LUSZTIG_DENOMINATOR
     tables = springer.declared_bases(2)
-    x0 = [e.to_laurent() for e in tables.lusztig[0]]
-    x1 = [e.to_laurent() for e in tables.lusztig[1]]
-    assert x1 == [gs(1, 0), LaurentPoly.one(GS_PROFILE)]
-    assert x0 == [LaurentPoly.one(GS_PROFILE) - gs(1, 0), LaurentPoly.zero(GS_PROFILE)]
+    x0, x1 = tables.lusztig
+    assert list(x1) == [den * gs(1, 0), den]
+    one, zero = LaurentPoly.one(GS_PROFILE), LaurentPoly.zero(GS_PROFILE)
+    assert list(x0) == [den * (one - gs(1, 0)), zero]
     o = springer.structure_sheaf(2)
     for k in range(2):
-        assert x0[k] + x1[k] == o.entries[k]
+        assert x0[k] + x1[k] == den * o.entries[k]
 
 
 def test_declared_bases_node_entries_are_rational():
-    # at a nodal fixed point the Lusztig tuple is an honest rational function
-    tables = springer.declared_bases(3)
-    node_entry = tables.lusztig[2][1]
-    assert node_entry.to_laurent() is None
-    num, den = node_entry.num, node_entry.den
+    # at a nodal fixed point the Lusztig tuple is an honest rational function:
+    # (s - g) / (s^2 - 1), whose numerator 1 - s^2 does not divide
+    den = springer.LUSZTIG_DENOMINATOR
+    num = springer.declared_bases(3).lusztig[2][1]
+    assert num.div_exact(den) is None
     assert num * parse_poly(GS_PROFILE, "s^2 - 1") == den * parse_poly(GS_PROFILE, "s - g")
 
 

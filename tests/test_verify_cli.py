@@ -11,16 +11,17 @@ from glhecke import springer, theta, verify
 from glhecke.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args, env=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "glhecke.cli", *args],
+def run_cli(*args, env=None, module="glhecke.cli"):
+    """Run the CLI in a fresh interpreter that imports the package from src."""
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
-        env=None if env is None else {**os.environ, **env},
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
     )
-    return proc
 
 
 def test_run_suite_main_theorem_small():
@@ -97,12 +98,7 @@ def test_canonical_reports_match_golden():
 
 def test_python_dash_m_glhecke(tmp_path):
     out = tmp_path / "report.json"
-    args = ["verify", "hecke", "--m", "1", "--cases", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "glhecke", *args, "--json", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("verify", "hecke", "--m", "1", "--cases", "1", "--json", str(out), module="glhecke")
     assert proc.returncode == 0, proc.stderr
     report = verify.run_suite("hecke", (1, 1), seed=0, cases=1)
     assert out.read_text() == verify.report_json(report)
@@ -187,6 +183,15 @@ def test_cli_eval_multifactor_polynomial_tail():
     assert proc.stdout.strip() == "x1*x2*s^4"
     proc = run_cli("eval", "--m", "2", "T[1] * x1*x2^-1")
     assert proc.stdout.strip() == "-s^2 + 1 + x1^-1*x2"
+
+
+def test_cli_eval_term_cap_hit_is_an_error():
+    # the cap stops the 200,000-term Bernstein correction of T[1] e[200000,0]
+    proc = run_cli("eval", "--m", "2", "T[1]*e[200000,0] * 1", env={"GLHECKE_MAX_TERMS": "1000"})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "GLHECKE_MAX_TERMS=1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_springer_flags_and_matrix():
