@@ -563,7 +563,7 @@ def demazure_exponents(lam: Sequence[int], i: int) -> list[tuple[tuple[int, ...]
     if not 1 <= i <= m - 1:
         raise ValueError(f"simple-coroot index {i} out of range for m={m}")
     k = lam[i - 1] - lam[i]
-    check_terms(abs(k))
+    check_terms(abs(k))  # the expansion has |k| terms; refuse it before building it
     out: list[tuple[tuple[int, ...], int]] = []
     lam = tuple(lam)
     if k > 0:
