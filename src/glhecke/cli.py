@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import springer, theta, verify
 from .hecke import parse_hecke
@@ -282,12 +283,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _json_sink(path: str):
+    """A file beside ``path``, renamed onto it when the command returns and
+    removed on an exception, so a stopped run leaves no partial file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--json target is a directory: {path!r}")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    sink = open(tmp, "w")  # a bad path exits 2 here, before any work
+    try:
+        with sink:
+            yield sink
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         check_term_cap()
-        # open the --json target first, so a bad path exits 2 before any work
-        with open(args.json, "w") if args.json else nullcontext() as sink:
+        with _json_sink(args.json) if args.json else nullcontext() as sink:
             return args.fn(args, sink)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

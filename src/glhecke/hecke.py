@@ -237,14 +237,6 @@ class HeckeElt:
         check_terms(len(out))
         return HeckeElt(self.m, out)
 
-    def __pow__(self, n: int) -> "HeckeElt":
-        if n < 0:
-            raise ValueError("use t_inverse for generator inverses")
-        result = HeckeElt.one(self.m)
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- specialization ----------------------------------------------------
 
     def at_s_one(self) -> dict[weyl.AffineWeylElt, int]:

@@ -160,9 +160,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.profile): 1}
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 

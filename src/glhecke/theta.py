@@ -4,12 +4,12 @@ The module with basis IC^0, ..., IC^{m-1} over Z[g^{+-1}, s^{+-1}] is built
 by transport from the Springer K-module: the unique module isomorphism sends
 the theorem basis B_i = s^{i(m-i)} L_{-omega_i} (B_0 = O) to IC^i, so every
 generator matrix here is literally the matrix of ``springer.k_act`` in the
-theorem basis.  The relations among T[i] and Tw[+-1] are checked on these
-cached matrices, as matrix products.  That is exact: every stage of
-``k_act`` (lift, polynomial action, pushdown, theorem-basis coordinates) is
-linear over Z[g^{+-1}, s^{+-1}], so applying a word of generators to a basis
-vector gives the matching column of the product of their matrices.
-Extended indices wrap by IC^{k+m} = g^{-1} IC^k, and
+theorem basis.  The quadratic, braid, Tw[1] and Bernstein relations are
+checked on these cached matrices, as matrix products.  That is exact: every
+stage of ``k_act`` (lift, polynomial action, pushdown, theorem-basis
+coordinates) is linear over Z[g^{+-1}, s^{+-1}], so applying a word of
+generators to a basis vector gives the matching column of the product of
+their matrices.  Extended indices wrap by IC^{k+m} = g^{-1} IC^k, and
 multiplication by s stands for the cohomological shift [-1], so a shift [1]
 contributes s^{-1} and IC^{k,!} = IC^k - s^{-1} IC^{k-1}.
 
@@ -35,9 +35,9 @@ from functools import reduce
 from itertools import combinations, permutations, product
 from operator import mul
 
-from . import polyrep, springer
+from . import springer
 from .hecke import HeckeElt, parse_hecke
-from .laurent import GS_PROFILE, LaurentPoly, demazure_exponents, gx_profile
+from .laurent import GS_PROFILE, LaurentPoly
 from .linalg import det_laurent
 
 __all__ = [
@@ -213,12 +213,18 @@ def check_defining_relations(m: int) -> list[str]:
     """Verify the Hecke presentation on the transported module; returns the
     violated relations (empty means the action is a genuine module structure).
 
-    The relations among T[i] and Tw[+-1] are compared as products of the
-    cached generator matrices; the Bernstein relation is checked on lifted
-    vectors and e-multiplicativity on line-bundle tuples, with one composite
-    spot check through ``springer.k_act``."""
+    Every relation but e-multiplicativity is a product of cached matrices.
+    With E_lam the matrix of e^lam, D(lam) = T_i E_{s_i lam} - E_lam T_i and
+    Delta_i(lam) = (e^lam - e^{s_i lam}) / (1 - e^{-alpha_i}), the Bernstein
+    relation D(lam) = (1 - v) E_{Delta_i(lam)} is checked at the units
+    lam = eps_k, where Delta_i(eps_k) is e^{eps_i}, -e^{eps_i} or 0 as k = i,
+    i + 1 or neither.  That proves it on all of Z^m.  Given e-multiplicativity
+    (checked on line-bundle tuples, plus one spot check through
+    ``springer.k_act``), both sides vanish at 0 and obey the twisted Leibniz
+    rule D(lam + mu) = E_lam D(mu) + D(lam) E_{s_i mu}, hence D(-lam) =
+    -E_{-lam} D(lam) E_{-s_i lam}; for Delta_i the rule reads e^{lam+mu} -
+    e^{s_i(lam+mu)} = e^lam (e^mu - e^{s_i mu}) + (e^lam - e^{s_i lam}) e^{s_i mu}."""
     failures: list[str] = []
-    basis = springer.theorem_basis(m)
     t = {i: _matrix(m, f"T[{i}]") for i in range(1, m + 1)} if m >= 2 else {}
 
     # quadratic: T_i^2 = (v - 1) T_i + v
@@ -240,37 +246,21 @@ def check_defining_relations(m: int) -> list[str]:
                 word_r = [b, a, b] if adjacent else [b, a]
                 if reduce(_poly_mat_mul, word_l) != reduce(_poly_mat_mul, word_r):
                     failures.append(f"{'braid' if adjacent else 'commute'} T[{i}],T[{j}]")
-    # Bernstein commutation via the telescoping identity, finite nodes.
-    # Checked at the level of lifted vectors pushed down to tuples, which is
-    # the operator identity on the module span.
-    box = _default_box(m)
-    lifts = [springer._lift(m, b.coords) for b in basis]
-    profile = gx_profile(m)
-    one_minus_v = LaurentPoly.one(profile) - LaurentPoly.variable(profile, "s", 2)
+    # Bernstein at the unit cocharacters, finite nodes (see the docstring)
+    units = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+    e_unit = [_matrix(m, "e[" + ",".join(map(str, lam)) + "]") for lam in units]
     for i in range(1, m):
-        for lam in box:
-            slam = list(lam)
-            slam[i - 1], slam[i] = slam[i], slam[i - 1]
-            for lift in lifts:
-                t_lift = polyrep.act_T(i, lift, m)
-                lhs = polyrep.act_T(i, polyrep.act_e(slam, lift, m), m)
-                rhs = polyrep.act_e(lam, t_lift, m)
-                corr = LaurentPoly.zero(profile)
-                for nu, sign in demazure_exponents(lam, i):
-                    piece = polyrep.act_e(nu, lift, m)
-                    corr = corr + piece if sign > 0 else corr - piece
-                rhs = rhs + one_minus_v * corr
-                if any(not e.is_zero() for e in springer.pushdown_poly(m, lhs - rhs)):
-                    failures.append(f"bernstein T[{i}] lam={lam}")
-                    break
+        for k, lam in enumerate(units):
+            c = (_ONE - _V) * (1 if k == i - 1 else -1 if k == i else 0)
+            lhs = _poly_mat_mul(t[i], e_unit[{i - 1: i, i: i - 1}.get(k, k)])
+            rhs = _poly_mat_mul(e_unit[k], t[i])
+            if lhs != [[y + c * z for y, z in zip(r, er)] for r, er in zip(rhs, e_unit[i - 1])]:
+                failures.append(f"bernstein T[{i}] lam={lam}")
     # e^lam e^mu = e^(lam+mu): the translations act diagonally by line-bundle
     # tuples, so multiplicativity is the pointwise monomial identity
     # L_lam = prod_j L_(eps_j)^(lam_j), checked once per lam in the box ...
-    eps = [
-        springer.restrict_line_bundle(m, [int(i == j) for j in range(m)]).entries
-        for i in range(m)
-    ]
-    for lam in box:
+    eps = [springer.restrict_line_bundle(m, lam).entries for lam in units]
+    for lam in _default_box(m):
         l_lam = springer.restrict_line_bundle(m, lam).entries
         if any(
             l_lam[k] != reduce(mul, (e[k] ** lj for e, lj in zip(eps, lam) if lj), _ONE)
@@ -281,7 +271,7 @@ def check_defining_relations(m: int) -> list[str]:
     eps1 = (1,) + (0,) * (m - 1)
     eps_last = (0,) * (m - 1) + (-1,)
     both = tuple(a + b for a, b in zip(eps1, eps_last))
-    for b in basis:
+    for b in springer.theorem_basis(m):
         lhs = springer.k_act(HeckeElt.e(eps1), springer.k_act(HeckeElt.e(eps_last), b))
         if lhs != springer.k_act(HeckeElt.e(both), b):
             failures.append("e-multiplicativity through k_act")
@@ -292,14 +282,15 @@ def check_defining_relations(m: int) -> list[str]:
 def freeness_determinant(m: int) -> LaurentPoly:
     """Determinant of the fixed-point matrix of the m vectors Tw[1]^k IC^0,
     computed by actually iterating the action (not assumed to be a shift);
-    nonzero exactly when the orbit is a basis over the fraction field."""
-    vec = springer.structure_sheaf(m)
+    nonzero exactly when the orbit is a basis over the fraction field.
+    Row differencing rebuilds every row from the theorem-basis coordinates C
+    that ``k_act`` returns, so the matrix is V C and det = det V * det C."""
     w1 = HeckeElt.tw(m, 1)
-    cols = [vec]
+    orbit = [springer.structure_sheaf(m)]
     for _ in range(m - 1):
-        cols.append(springer.k_act(w1, cols[-1]))
-    matrix = [[cols[j].entries[k] for j in range(m)] for k in range(m)]
-    return det_laurent(matrix)
+        orbit.append(springer.k_act(w1, orbit[-1]))
+    coords = [[orbit[j].coords[k] for j in range(m)] for k in range(m)]
+    return springer._theorem_data(m).det * det_laurent(coords)
 
 
 # -- the sheaf-function dictionary ---------------------------------------------

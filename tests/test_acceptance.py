@@ -38,12 +38,12 @@ def test_criterion_01_tsm_closed_form():
 
 def test_criterion_02_main_theorem():
     stems = ["module-isomorphism", "module-relations"]
-    _criterion(2, "module isomorphism + relations, m=1..12", 60, "main-theorem", stems, range(1, 13))
+    _criterion(2, "module isomorphism + relations, m=1..16", 60, "main-theorem", stems, range(1, 17))
 
 
 def test_criterion_03_freeness():
-    label = "Tw1-orbit of IC^0 is a basis, m=1..12"
-    _criterion(3, label, 10, "main-theorem", ["freeness"], range(1, 13))
+    label = "Tw1-orbit of IC^0 is a basis, m=1..24"
+    _criterion(3, label, 10, "main-theorem", ["freeness"], range(1, 25))
 
 
 def test_criterion_04_center():

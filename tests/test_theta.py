@@ -6,9 +6,10 @@ import os
 
 import pytest
 
-from glhecke import springer, theta
-from glhecke.hecke import parse_hecke
-from glhecke.laurent import GS_PROFILE, LaurentPoly
+from glhecke import polyrep, springer, theta
+from glhecke.hecke import HeckeElt, parse_hecke
+from glhecke.laurent import GS_PROFILE, LaurentPoly, demazure_exponents, gx_profile
+from glhecke.linalg import det_laurent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -115,16 +116,58 @@ def test_planted_matrix_fault_fails_relations(monkeypatch):
     assert verify.run_check("theta", "cyclic-symmetry", 3).status == "fail"
 
 
+def test_planted_e_matrix_fault_fails_bernstein(monkeypatch):
+    # the e-matrices that `theta --matrices` reports are checked, not only the T's
+    for m in (2, 3, 4):
+        key = "e[" + ",".join(["1"] + ["0"] * (m - 1)) + "]"
+        bad = [row[:] for row in theta._matrix(m, key)]
+        bad[0][0] = bad[0][0] + LaurentPoly.one(GS_PROFILE)
+        monkeypatch.setattr(theta, "_matrix_cache", {(m, key): bad})
+        fails = theta.check_defining_relations(m)
+        assert any(f.startswith("bernstein T[") for f in fails), (m, fails)
+
+
+def test_bernstein_on_lifted_vectors():
+    # the oracle for the matrix Bernstein check: the relation on canonical
+    # lifts in the polynomial representation, pushed down to tuples
+    for m in range(2, 7):
+        profile = gx_profile(m)
+        one_minus_v = LaurentPoly.one(profile) - LaurentPoly.variable(profile, "s", 2)
+        lifts = [springer._lift(m, b.coords) for b in springer.theorem_basis(m)]
+        for i in range(1, m):
+            for lam in theta._default_box(m):
+                slam = list(lam)
+                slam[i - 1], slam[i] = slam[i], slam[i - 1]
+                for lift in lifts:
+                    lhs = polyrep.act_T(i, polyrep.act_e(slam, lift, m), m)
+                    rhs = polyrep.act_e(lam, polyrep.act_T(i, lift, m), m)
+                    for nu, sign in demazure_exponents(lam, i):
+                        rhs = rhs + one_minus_v * polyrep.act_e(nu, lift, m) * sign
+                    assert all(e.is_zero() for e in springer.pushdown_poly(m, lhs - rhs)), (m, i, lam)
+
+
 def test_freeness():
     for m in range(1, 6):
         assert not theta.freeness_determinant(m).is_zero()
+
+
+def test_freeness_from_coordinates():
+    # the Tw[1]-orbit of IC^0 has identity coordinates, so it is a basis over
+    # the Laurent ring; the Bareiss determinant of its fixed-point matrix is
+    # the oracle for det V * det C
+    for m in range(1, 9):
+        orbit = [springer.structure_sheaf(m)]
+        for _ in range(m - 1):
+            orbit.append(springer.k_act(HeckeElt.tw(m, 1), orbit[-1]))
+        assert [list(v.coords) for v in orbit] == theta._scalar_matrix(m, LaurentPoly.one(GS_PROFILE))
+        fixed = [[orbit[j].entries[k] for j in range(m)] for k in range(m)]
+        assert det_laurent(fixed) == theta.freeness_determinant(m), m
 
 
 def test_central_characters_through_matrices():
     m = 3
     from itertools import permutations
 
-    from glhecke.hecke import HeckeElt
     from glhecke.laurent import orbit_sum
 
     for k in (1, 2, 3):
@@ -142,8 +185,6 @@ def test_central_characters_through_matrices():
 def test_matrix_of_is_multiplicative():
     # the transport is an algebra map: matrix(a*b) == matrix(a) @ matrix(b)
     import random
-
-    from glhecke.hecke import HeckeElt
 
     rng = random.Random(51)
     for m in (2, 3):

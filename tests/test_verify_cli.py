@@ -307,6 +307,19 @@ def test_cli_term_cap_hit_is_an_error_not_a_counterexample(tmp_path):
     assert "fail" not in {c["status"] for c in checks.values()}
 
 
+def test_cli_stopped_run_leaves_no_json(tmp_path):
+    # the report is written beside the target and renamed only when the command returns
+    args = ("springer", "--m", "4", "--show", "bases", "--json")
+    env = {"GLHECKE_MAX_TERMS": "2"}
+    assert run_cli(*args, str(tmp_path / "out.json"), env=env).returncode == 3
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier\n")
+    assert run_cli(*args, str(kept), env=env).returncode == 3
+    assert kept.read_text() == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["kept.json"]
+    assert main(["springer", "--m", "2", "--show", "bases", "--json", str(tmp_path)]) == 2
+
+
 def test_cli_failure_takes_precedence_over_error(monkeypatch, capsys):
     # a counterexample is decisive, an error is not: a run with both exits 1
     checks = [
