@@ -36,7 +36,6 @@ __all__ = [
     "S_PROFILE",
     "GS_PROFILE",
     "x_profile",
-    "gx_profile",
     "LaurentPoly",
     "ProfileMismatchError",
     "TermBudgetError",
@@ -59,13 +58,9 @@ def x_profile(m: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, m + 1)) + ("s",)
 
 
-def gx_profile(m: int) -> tuple[str, ...]:
-    """Profile ``(g, x1, ..., xm, s)``; ``g`` is an inert module scalar."""
-    return ("g",) + x_profile(m)
-
-
 class ProfileMismatchError(ValueError):
-    """Raised when two polynomials over different profiles are combined."""
+    """Raised when two polynomials over different profiles are combined, or
+    a polynomial is not over the profile an operation expects."""
 
 
 class TermBudgetError(RuntimeError):

@@ -1,7 +1,9 @@
 """The polynomial (Bernstein) representation of the affine Hecke algebra.
 
-Vectors are Laurent polynomials over a profile containing x1..xm and s
-(extra variables such as g pass through untouched).  Generator actions:
+Vectors are Laurent polynomials over ``x_profile(m) = (x1, ..., xm, s)``:
+x_j sits at index j - 1 and s at index m.  ``act`` rejects any other
+profile with a ``ProfileMismatchError``; ``act_T`` and ``act_e`` assume it.
+Generator actions:
 
     e^lam * u     = e^{-lam} u
     T_{s_i} * e^lam = (e^lam - e^{s_i lam})/(e^alpha - 1)
@@ -17,23 +19,10 @@ Hecke elements act through their Bernstein-basis expansion.
 from __future__ import annotations
 
 from .hecke import HeckeElt, perm_word, t_element
-from .laurent import LaurentPoly, check_terms, x_profile
+from .laurent import LaurentPoly, ProfileMismatchError, check_terms, x_profile
 from . import weyl
 
 __all__ = ["one_vector", "act", "act_T", "act_e", "t_sm_on_one"]
-
-
-# positions of x1..xm and s, cached per (profile, m): x_profile and
-# gx_profile vectors put x1 at different indices
-_index_cache: dict[tuple[tuple[str, ...], int], tuple[tuple[int, ...], int]] = {}
-
-
-def _indices(profile: tuple[str, ...], m: int) -> tuple[tuple[int, ...], int]:
-    got = _index_cache.get((profile, m))
-    if got is None:
-        xi = tuple(profile.index(f"x{i}") for i in range(1, m + 1))
-        got = _index_cache[(profile, m)] = (xi, profile.index("s"))
-    return got
 
 
 def one_vector(m: int) -> LaurentPoly:
@@ -41,13 +30,12 @@ def one_vector(m: int) -> LaurentPoly:
 
 
 def act_e(lam, u: LaurentPoly, m: int) -> LaurentPoly:
-    """e^lam * u = e^{-lam} u."""
-    xi, _ = _indices(u.profile, m)
+    """e^lam * u = e^{-lam} u; only the m x-slots of a key move."""
     out = {}
     for key, c in u.terms.items():
         nk = list(key)
-        for idx, l in zip(xi, lam):
-            nk[idx] -= l
+        for j in range(m):
+            nk[j] -= lam[j]
         out[tuple(nk)] = c
     return LaurentPoly(u.profile, out)
 
@@ -56,8 +44,7 @@ def act_T(i: int, u: LaurentPoly, m: int) -> LaurentPoly:
     """T_{s_i} * u for a finite index 1 <= i < m, term by term."""
     if not 1 <= i <= m - 1:
         raise ValueError(f"index {i} is not a finite reflection for m={m}")
-    xi, si = _indices(u.profile, m)
-    ia, ib = xi[i - 1], xi[i]
+    ia, ib = i - 1, i
     out: dict[tuple[int, ...], int] = {}
 
     def bump(key, c):
@@ -87,38 +74,34 @@ def act_T(i: int, u: LaurentPoly, m: int) -> LaurentPoly:
         if k2 > 0:
             for j in range(1, k2 + 1):
                 nk = alpha_shift(key, j)
-                nk[si] += 2
+                nk[m] += 2
                 bump(tuple(nk), -c)
         elif k2 < 0:
             for j in range(0, -k2):
                 nk = alpha_shift(key, -j)
-                nk[si] += 2
+                nk[m] += 2
                 bump(tuple(nk), c)
     check_terms(len(out))
     return LaurentPoly(u.profile, out)
 
 
-def _embed_s(c: LaurentPoly, profile: tuple[str, ...], si: int) -> LaurentPoly:
-    out = {}
-    zeros = [0] * len(profile)
-    for (k,), coeff in c.terms.items():
-        key = list(zeros)
-        key[si] = k
-        out[tuple(key)] = coeff
-    return LaurentPoly(profile, out)
+def _embed_s(c: LaurentPoly, profile: tuple[str, ...], m: int) -> LaurentPoly:
+    zeros = (0,) * m
+    return LaurentPoly(profile, {zeros + k: coeff for k, coeff in c.terms.items()})
 
 
 def act(h: HeckeElt, u: LaurentPoly) -> LaurentPoly:
     """h * u through the Bernstein expansion of h."""
     m = h.m
-    xi, si = _indices(u.profile, m)
+    if u.profile != x_profile(m):
+        raise ProfileMismatchError(f"expected a vector over {x_profile(m)}, got {u.profile}")
     total = LaurentPoly.zero(u.profile)
     for (lam, w), c in h.terms.items():
         vec = u
         for i in reversed(perm_word(w)):
             vec = act_T(i, vec, m)
         vec = act_e(lam, vec, m)
-        total = total + _embed_s(c, u.profile, si) * vec
+        total = total + _embed_s(c, u.profile, m) * vec
     return total
 
 

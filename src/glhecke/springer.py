@@ -25,22 +25,25 @@ The j = k term carries the det-normalization factor s^{(k-1)(m-k)}
 (= the weight of det of the fixed part of the flag); dropping it makes the
 solved tuples inconsistent with the end-point fiber values.
 
-The Hecke action k_act lifts a class to the polynomial representation via
-the canonical preimages {1, s^{i(m-i)} e^{omega_i}}, acts there, and pushes
-down along e^lam -> L_{-lam}.  Well-definedness is the kernel-stability
-property checked in the verification suite.
+The Hecke action k_act is linear over Z[g^{+-1}, s^{+-1}]: it acts on the
+canonical preimages l_0 = 1, l_i = s^{i(m-i)} e^{omega_i} of the theorem
+basis in the polynomial representation, pushes each result down along
+e^lam -> L_{-lam}, and sums them with the coordinates of the class as
+coefficients.  Well-definedness is the kernel-stability property checked in
+the verification suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
 from . import polyrep
 from .hecke import HeckeElt
-from .laurent import GS_PROFILE, LaurentPoly, gx_profile, is_symmetric, x_profile
+from .laurent import GS_PROFILE, LaurentPoly, ProfileMismatchError, is_symmetric, x_profile
 from .linalg import det_laurent, nullspace
 
 __all__ = [
@@ -259,45 +262,18 @@ def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPo
 # -- the Hecke action ---------------------------------------------------------
 
 
-def _lift(m: int, coords: tuple[LaurentPoly, ...]) -> LaurentPoly:
-    """Canonical preimage sum coords_i * lift(B_i) in the g-extended
-    polynomial representation; lift(B_0) = 1, lift(B_i) = s^{i(m-i)} e^{omega_i}."""
-    profile = gx_profile(m)
-    out = LaurentPoly.zero(profile)
-    for i, c in enumerate(coords):
-        key = [0] * (m + 2)
-        if i > 0:
-            for j in range(1, i + 1):
-                key[j] = 1  # x_j exponent
-            key[m + 1] = i * (m - i)  # s exponent
-        lift = LaurentPoly.monomial(profile, tuple(key), 1)
-        zeros = (0,) * m
-        embedded = LaurentPoly(
-            profile, {(gk,) + zeros + (sk,): v for (gk, sk), v in c.terms.items()}
-        )
-        out = out + embedded * lift
-    return out
-
-
 def pushdown_poly(m: int, u: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """Push a vector of the polynomial representation down to a fixed-point
-    tuple along e^lam -> L_{-lam}; g and s coefficients pass through."""
-    table = flags(m)
-    profile = u.profile
-    names = list(profile)
-    xpos = [names.index(f"x{i}") for i in range(1, m + 1)]
-    spos = names.index("s")
-    gpos = names.index("g") if "g" in names else None
+    tuple along e^lam -> L_{-lam}; s coefficients pass through."""
+    if u.profile != x_profile(m):
+        raise ProfileMismatchError(f"expected a vector over {x_profile(m)}, got {u.profile}")
+    weights = flags(m).weights
     rows: list[dict[tuple[int, int], int]] = [dict() for _ in range(m)]
     for key, c in u.terms.items():
-        base_g = key[gpos] if gpos is not None else 0
-        base_s = key[spos]
         for k in range(m):
-            ge, se = base_g, base_s
-            for j, xp in enumerate(xpos):
-                e = key[xp]
+            ge, se = 0, key[m]
+            for (wg, ws), e in zip(weights[k], key):
                 if e:
-                    wg, ws = table.weights[k][j]
                     ge -= wg * e
                     se -= ws * e
             kk = (ge, se)
@@ -310,13 +286,18 @@ def pushdown_poly(m: int, u: LaurentPoly) -> tuple[LaurentPoly, ...]:
 
 
 def k_act(h: HeckeElt, c: KClass) -> KClass:
-    """Act by a Hecke element: lift to the polynomial representation along
-    the canonical preimages, act, push down, re-express in the basis."""
+    """Act by a Hecke element: sum_i c_i * pushdown(h * l_i) over the nonzero
+    coordinates c_i, then re-express the tuple in the theorem basis."""
     m = c.m
     coords = c.coords if c.coords is not None else coords_in_theorem_basis(c.entries)
-    lifted = _lift(m, coords)
-    acted = polyrep.act(h, lifted)
-    entries = pushdown_poly(m, acted)
+    profile = x_profile(m)
+    entries = (LaurentPoly.zero(GS_PROFILE),) * m
+    for i, ci in enumerate(coords):
+        if ci.is_zero():
+            continue
+        lift = LaurentPoly.monomial(profile, (1,) * i + (0,) * (m - i) + (i * (m - i),), 1)
+        pushed = pushdown_poly(m, polyrep.act(h, lift))
+        entries = tuple(e + ci * p for e, p in zip(entries, pushed))
     return KClass(entries, coords_in_theorem_basis(entries))
 
 
@@ -506,16 +487,7 @@ def kernel_vectors(m: int, degree: int = 1) -> list[LaurentPoly]:
     {x^nu : 0 <= nu_i <= degree}; elements are polynomials in the
     x-profile that restrict to zero on every fixed point."""
     profile = x_profile(m)
-    box: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == m:
-            box.append(prefix)
-            return
-        for v in range(degree + 1):
-            rec(prefix + (v,))
-
-    rec(())
+    box = list(product(range(degree + 1), repeat=m))
     columns = []
     keys: dict[tuple[int, tuple[int, int]], int] = {}
     for nu in box:

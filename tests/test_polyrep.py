@@ -7,32 +7,21 @@ import pytest
 
 from glhecke import laurent, polyrep, weyl
 from glhecke.hecke import HeckeElt, t_element
-from glhecke.laurent import LaurentPoly, TermBudgetError, gx_profile, x_profile
+from glhecke.laurent import LaurentPoly, TermBudgetError, x_profile
 
 
 def mono(m, xexps, sexp=0, c=1):
     return LaurentPoly.monomial(x_profile(m), tuple(xexps) + (sexp,), c)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_action_agrees_across_profiles(m):
-    # x1 sits at index 0 of x_profile(m) and 1 of gx_profile(m); the index
-    # table must tell the two apart, whichever profile acted first
-    rng = random.Random(m)
-    u = LaurentPoly.from_terms(
-        x_profile(m),
-        [(tuple(rng.randint(-2, 2) for _ in range(m + 1)), rng.randint(-3, 3)) for _ in range(4)],
-    )
-
-    def with_g(v):
-        return LaurentPoly.from_terms(gx_profile(m), [((0,) + k, c) for k, c in v.terms.items()])
-
-    lam = tuple(rng.randint(-1, 1) for _ in range(m))
-    perm = tuple(rng.sample(range(m), m))
-    hs = [HeckeElt.gen(m, i) for i in range(1, m + 1)]
-    hs += [HeckeElt.tw(m, 1), HeckeElt.basis(m, lam, perm)]
-    for h in hs:
-        assert polyrep.act(h, with_g(u)) == with_g(polyrep.act(h, u)), h
+def test_act_rejects_other_profiles():
+    # a g variable is not passed through: the vector must be over x_profile(m)
+    u = LaurentPoly.monomial(("g", "x1", "x2", "s"), (1, 0, 1, 0), 1)
+    for h in (HeckeElt.one(2), HeckeElt.gen(2, 1), HeckeElt.tw(2, 1)):
+        with pytest.raises(laurent.ProfileMismatchError):
+            polyrep.act(h, u)
+    with pytest.raises(ValueError):
+        polyrep.act(HeckeElt.one(3), polyrep.one_vector(2))
 
 
 def test_ts1_on_omega1():

@@ -2,7 +2,7 @@
 the Hecke action on the K-module, and the kernel of restriction."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -324,3 +324,28 @@ def test_pushdown_matches_restriction():
         got = springer.pushdown_poly(m, mono)
         want = springer.restrict_line_bundle(m, [-v for v in nu])
         assert got == want.entries
+
+
+def test_k_act_on_line_bundles_matches_their_monomial_lifts():
+    # x^(-lam) is a lift of L_lam independent of the theorem-basis lifts that
+    # k_act combines; the coordinates of L_lam have several terms and involve g
+    cases = 0
+    for m in range(1, 5):
+        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)] if m >= 2 else []
+        gens += [HeckeElt.tw(m, 1), HeckeElt.tw(m, -1), HeckeElt.e((1,) + (0,) * (m - 1))]
+        for lam in product((-1, 0, 1), repeat=m):
+            cls = springer.restrict_line_bundle(m, lam)
+            mono = LaurentPoly.monomial(x_profile(m), tuple(-v for v in lam) + (0,), 1)
+            for h in gens:
+                want = springer.pushdown_poly(m, polyrep.act(h, mono))
+                assert springer.k_act(h, cls).entries == want, (m, lam, h)
+                cases += 1
+    assert cases == 783
+
+
+def test_pushdown_rejects_other_profiles():
+    u = LaurentPoly.monomial(("g", "x1", "x2", "s"), (1, 0, 1, 0), 1)
+    with pytest.raises(ValueError):
+        springer.pushdown_poly(2, u)
+    with pytest.raises(ValueError):
+        springer.pushdown_poly(3, polyrep.one_vector(2))

@@ -8,7 +8,7 @@ import pytest
 
 from glhecke import polyrep, springer, theta
 from glhecke.hecke import HeckeElt, parse_hecke
-from glhecke.laurent import GS_PROFILE, LaurentPoly, demazure_exponents, gx_profile
+from glhecke.laurent import GS_PROFILE, LaurentPoly, demazure_exponents, x_profile
 from glhecke.linalg import det_laurent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -128,12 +128,16 @@ def test_planted_e_matrix_fault_fails_bernstein(monkeypatch):
 
 
 def test_bernstein_on_lifted_vectors():
-    # the oracle for the matrix Bernstein check: the relation on canonical
-    # lifts in the polynomial representation, pushed down to tuples
+    # the oracle for the matrix Bernstein check: the relation on the lifts
+    # l_0 = 1, l_i = s^(i(m-i)) x^omega_i of the theorem basis in the
+    # polynomial representation, pushed down to tuples
     for m in range(2, 7):
-        profile = gx_profile(m)
+        profile = x_profile(m)
         one_minus_v = LaurentPoly.one(profile) - LaurentPoly.variable(profile, "s", 2)
-        lifts = [springer._lift(m, b.coords) for b in springer.theorem_basis(m)]
+        lifts = [
+            LaurentPoly.monomial(profile, (1,) * i + (0,) * (m - i) + (i * (m - i),), 1)
+            for i in range(m)
+        ]
         for i in range(1, m):
             for lam in theta._default_box(m):
                 slam = list(lam)
