@@ -2,7 +2,7 @@
 table dumps.
 
 Subcommands:
-  verify <suite> --m A..B [--seed S] [--cases N] [--json PATH]
+  verify <suite> --m A..B [--seed S] [--cases N] [--json PATH] [--timings] [--progress]
   eval --m M "<hecke-literal> * <poly-literal>"
   springer --m M --show {flags|bases|matrix} [--generator KEY] [--json PATH]
   theta --m M --matrices [--json PATH]
@@ -106,6 +106,10 @@ def _split_eval_expression(m: int, text: str):
     )
 
 
+def _print_progress(check: verify.Check) -> None:
+    print(f"{check.id}: {check.status} ({check.elapsed_ms} ms)", file=sys.stderr, flush=True)
+
+
 def _cmd_verify(args, sink) -> int:
     report = verify.run_suite(
         args.suite,
@@ -114,6 +118,7 @@ def _cmd_verify(args, sink) -> int:
         cases=args.cases,
         n=args.n,
         bounds=args.bounds,
+        progress=_print_progress if args.progress else None,
     )
     sys.stdout.write(verify.report_text(report))
     if sink:
@@ -254,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", type=_bounds, default="0,1", help="orbits: N,r")
     p.add_argument("--json", help="write the canonical JSON report here")
     p.add_argument("--timings", action="store_true", help="keep elapsed_ms in JSON")
+    p.add_argument("--progress", action="store_true", help="print each finished check on stderr")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate '<hecke-literal> * <poly-literal>'")

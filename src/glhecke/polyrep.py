@@ -30,7 +30,10 @@ def one_vector(m: int) -> LaurentPoly:
 
 
 def act_e(lam, u: LaurentPoly, m: int) -> LaurentPoly:
-    """e^lam * u = e^{-lam} u; only the m x-slots of a key move."""
+    """e^lam * u = e^{-lam} u; only the m x-slots of a key move.  A
+    cocharacter with other than m entries raises ``ValueError``."""
+    if len(lam) != m:
+        raise ValueError(f"cocharacter {tuple(lam)} has {len(lam)} entries, expected m={m}")
     out = {}
     for key, c in u.terms.items():
         nk = list(key)

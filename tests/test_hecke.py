@@ -1,14 +1,16 @@
 """Bernstein-basis multiplication: relations, T_w expansion, inverses,
 the center, the group-algebra limit, and literals."""
 
+import inspect
 import random
+import textwrap
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhecke import laurent, weyl
+from glhecke import hecke, laurent, verify, weyl
 from glhecke.hecke import (
     HeckeElt,
     ONE_S,
@@ -164,14 +166,74 @@ def test_omega_conjugation():
             assert w1 * HeckeElt.gen(m, i) * w1i == HeckeElt.gen(m, j)
 
 
-def test_associativity_random():
-    rng = random.Random(13)
-    from glhecke.verify import _random_hecke
+def _random_s_poly(rng):
+    items = []
+    for _ in range(rng.randint(1, 2)):
+        c = rng.choice([-2, -1, 1, 2])
+        items.append(((rng.randint(-1, 1),), c))
+    poly = LaurentPoly.from_terms(S_PROFILE, items)
+    return poly if not poly.is_zero() else ONE_S
 
+
+def _random_hecke(m, rng):
+    """One or two terms e^lam T_w, lam in {-1, 0, 1}^m, with random coefficients."""
+    out = HeckeElt.zero(m)
+    for _ in range(rng.randint(1, 2)):
+        lam = tuple(rng.randint(-1, 1) for _ in range(m))
+        perm = list(range(m))
+        rng.shuffle(perm)
+        out = out + HeckeElt.basis(m, lam, tuple(perm), _random_s_poly(rng))
+    return out
+
+
+def test_associativity_random():
+    # composite triples with random coefficients; verify's check draws basis triples
+    rng = random.Random(13)
     for _ in range(60):
         m = rng.randint(2, 3)
         a, b, c = (_random_hecke(m, rng) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+LEFT_MUL_GEN_SOURCE = textwrap.dedent(inspect.getsource(HeckeElt.left_mul_gen))
+
+
+def _left_mul_gen_mutant(*edits):
+    """``HeckeElt.left_mul_gen`` recompiled from its source with each
+    (old, new) text edit applied; each old text must occur exactly once."""
+    src = LEFT_MUL_GEN_SOURCE
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    scope = {}
+    exec(compile(src, "<left_mul_gen mutant>", "exec"), dict(vars(hecke)), scope)
+    return scope["left_mul_gen"]
+
+
+LEFT_ACTION_FAULTS = {
+    # the Bernstein correction always takes the (1 - v) sign
+    "bernstein-sign": [("(ONE_MINUS_V if exps[0][1] > 0 else V_MINUS_1)", "ONE_MINUS_V")],
+    # v - 1 and v trade places when T_i meets a descent of T_w
+    "descent-swap": [
+        ("bump(swl, w, V_MINUS_1 * c)", "bump(swl, w, V * c)"),
+        ("bump(swl, sw, V * c)", "bump(swl, sw, V_MINUS_1 * c)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_planted_left_action_fault_fails_associativity(monkeypatch, m):
+    # the cached T_w1 powers and affine generators are products; a mutant
+    # must not leave entries there for later tests
+    monkeypatch.setattr(hecke, "_tw_cache", {})
+    monkeypatch.setattr(hecke, "_affine_cache", {})
+    for name, edits in LEFT_ACTION_FAULTS.items():
+        monkeypatch.setattr(HeckeElt, "left_mul_gen", _left_mul_gen_mutant(*edits))
+        check = verify.run_check("hecke", "associativity", m)
+        assert check.status == "fail", (name, check)
+        relation, _, b = check.counterexample.rpartition(" b=")
+        assert relation.split()[0] in ("quadratic", "braid", "commute", "bernstein"), (name, check)
+        assert len(parse_hecke(m, b).terms) == 1, (name, check)
 
 
 def test_literals_round_trip():

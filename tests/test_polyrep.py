@@ -55,6 +55,14 @@ def test_e_lambda_action_inverts():
     assert got == mono(m, (0, -1, -2), 1)
 
 
+def test_act_e_rejects_a_cocharacter_of_the_wrong_length():
+    # extra entries were ignored and a short one indexed past its end
+    u = mono(2, (1, 0), 1)
+    for lam in ((2, 0, 5), (2,)):
+        with pytest.raises(ValueError, match="expected m=2"):
+            polyrep.act_e(lam, u, 2)
+
+
 def test_tsm_closed_form():
     # (s^2 - 1) + s^(2(m-1)) e^(xi + omega_1), xi = (0,...,0,-1)
     for m, spower in ((2, 2), (3, 4), (5, 8)):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -305,6 +306,21 @@ def test_cli_term_cap_hit_is_an_error_not_a_counterexample(tmp_path):
     assert hit["status"] == "error"
     assert "TermBudgetError" in hit["error"] and "counterexample" not in hit
     assert "fail" not in {c["status"] for c in checks.values()}
+
+
+def test_cli_progress_writes_only_to_stderr(monkeypatch, tmp_path, capsys):
+    # elapsed times are frozen at 0 ms, so the two stdouts compare exactly
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    runs = []
+    for flag in ([], ["--progress"]):
+        out = tmp_path / f"report{len(runs)}.json"
+        assert main(["verify", "hecke", "--m", "1..2", "--cases", "5", "--json", str(out), *flag]) == 0
+        runs.append((capsys.readouterr(), out.read_bytes()))
+    (quiet, quiet_json), (loud, loud_json) = runs
+    assert loud.out == quiet.out and loud_json == quiet_json
+    assert quiet.err == ""
+    ids = [c["id"] for c in json.loads(quiet_json)["checks"]]
+    assert loud.err.splitlines() == [f"{i}: pass (0 ms)" for i in ids]
 
 
 def test_cli_stopped_run_leaves_no_json(tmp_path):
