@@ -96,7 +96,11 @@ class HeckeElt:
 
     @staticmethod
     def basis(m: int, lam, perm, coeff: LaurentPoly = ONE_S) -> "HeckeElt":
-        return HeckeElt(m, {(tuple(lam), tuple(perm)): coeff})
+        """coeff * e^lam T_perm; ``ValueError`` unless lam and perm have m entries."""
+        lam, perm = tuple(lam), tuple(perm)
+        if len(lam) != m or len(perm) != m:
+            raise ValueError(f"e^{lam} T{perm} needs m={m} entries in each")
+        return HeckeElt(m, {(lam, perm): coeff})
 
     @staticmethod
     def gen(m: int, i: int) -> "HeckeElt":

@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -53,8 +54,10 @@ S_PROFILE = ("s",)
 GS_PROFILE = ("g", "s")
 
 
+@cache
 def x_profile(m: int) -> tuple[str, ...]:
-    """Profile ``(x1, ..., xm, s)`` carrying the torus characters."""
+    """Profile ``(x1, ..., xm, s)`` carrying the torus characters; built once
+    per rank, and the tuple is shared."""
     return tuple(f"x{i}" for i in range(1, m + 1)) + ("s",)
 
 

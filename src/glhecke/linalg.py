@@ -1,13 +1,16 @@
 """Small exact linear algebra: symbolic determinants over the Laurent ring
 Z[g^{+-1}, s^{+-1}] by fraction-free Bareiss elimination (``det_laurent``),
 with signed permutation expansion (``det_expansion``) kept as its
-independent oracle, and rational nullspaces over plain Fractions.
+independent oracle, and rational nullspaces by integer elimination: rows
+are cleared of denominators, reduced over Z with primitive pivot rows, and
+divided by their pivots only when the RREF basis is read off, as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 from .laurent import LaurentPoly
 
@@ -81,41 +84,66 @@ def det_laurent(m: list[list[LaurentPoly]]) -> LaurentPoly:
     return a[n - 1][n - 1] * sign
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, pivot: dict[int, Fraction]) -> None:
-    """row -= f * pivot in place, dropping the entries that become zero."""
+def _eliminate(row: dict[int, int], c: int, pivot: dict[int, int]) -> None:
+    """Clear column c of ``row`` in place with the integer pivot row ``pivot``:
+    row := (p/g)*row - (a/g)*pivot for a = row[c], p = pivot[c], g = gcd(a, p).
+    Entries that become zero are dropped; the row is not made primitive."""
+    a, p = row[c], pivot[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
     for j, x in pivot.items():
-        y = row.get(j, 0) - f * x
+        y = row.get(j, 0) - a * x
         if y:
             row[j] = y
         else:
             del row[j]
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a matrix over Q, read off its reduced
-    row echelon form: one vector per free column, ascending, with 1 there and
-    0 at the other free columns.  Rows are reduced one at a time, as sparse
-    ``{column: value}`` maps, against the fully reduced pivot rows so far."""
+def _primitive(row: dict[int, int], c: int) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries, signed so that row[c] > 0."""
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def nullspace(rows: list[list[Fraction | int]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace of a matrix over Q (Fraction or int
+    entries), read off its reduced row echelon form: one vector per free
+    column, ascending, with 1 there and 0 at the other free columns.
+
+    The elimination runs over Z.  Each row is scaled by the lcm of its
+    denominators and reduced, as a sparse ``{column: int}`` map, against the
+    pivot rows so far, which are primitive (gcd 1, positive pivot) and zero
+    at every other pivot column.  Only the read-off divides by the pivots,
+    and the RREF is unique, so the basis is the one a Fraction RREF gives."""
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots: dict[int, dict[int, Fraction]] = {}  # pivot column -> its RREF row
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its primitive row
     for dense in rows:
-        row = {j: x for j, x in enumerate(dense) if x}
+        support = [(j, x) for j, x in enumerate(dense) if x]
+        den = lcm(*(x.denominator for _, x in support))
+        row = {j: int(x * den) for j, x in support}
         for p in [j for j in row if j in pivots]:
-            _subtract(row, row[p], pivots[p])
+            _eliminate(row, p, pivots[p])
         if row:
             c = min(row)
-            row = {j: x / row[c] for j, x in row.items()}
-            for other in pivots.values():
+            row = _primitive(row, c)
+            for q, other in pivots.items():
                 if c in other:
-                    _subtract(other, other[c], row)
+                    _eliminate(other, c, row)
+                    pivots[q] = _primitive(other, q)
             pivots[c] = row
     free = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in pivots}
     for c, vec in free.items():
         vec[c] = Fraction(1)
     for p, row in pivots.items():
+        pv = row[p]
         for j, x in row.items():
             if j in free:
-                free[j][p] = -x
+                free[j][p] = Fraction(-x, pv)
     return list(free.values())

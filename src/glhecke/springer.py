@@ -36,7 +36,6 @@ the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import NamedTuple
@@ -63,6 +62,7 @@ __all__ = [
     "skyscraper_pm",
     "exact_sequence_identities_hold",
     "kernel_vectors",
+    "pushdown_act",
     "pushdown_poly",
 ]
 
@@ -499,13 +499,37 @@ def kernel_vectors(m: int, degree: int = 1) -> list[LaurentPoly]:
                 pos = keys.setdefault((k, gk), len(keys))
                 col[pos] = c
         columns.append(col)
-    rows = [[Fraction(0)] * len(box) for _ in range(len(keys))]
+    rows = [[0] * len(box) for _ in range(len(keys))]
     for jcol, col in enumerate(columns):
         for pos, c in col.items():
-            rows[pos][jcol] = Fraction(c)
+            rows[pos][jcol] = c
     out = []
     for vec in nullspace(rows):
         support = [(nu, x) for nu, x in zip(box, vec) if x]
         denom = lcm(*(x.denominator for _, x in support))
         out.append(LaurentPoly(profile, {nu + (0,): int(x * denom) for nu, x in support}))
     return out
+
+
+def pushdown_act(m: int, h: HeckeElt, vectors: list[LaurentPoly]):
+    """Yield ``pushdown_poly(m, polyrep.act(h, u))`` for each u in vectors, in
+    order, by linearity: P(h u) = sum_nu u_nu P(h x^nu).  Each monomial x^nu
+    in the support of the vectors is acted on and pushed down once, as a
+    sparse column; each vector then combines the columns with its integer
+    coefficients.  The columns live as long as the generator."""
+    profile = x_profile(m)
+    columns: dict[tuple[int, ...], list[tuple[int, tuple[int, int], int]]] = {}
+    for u in vectors:
+        if u.profile != profile:
+            raise ProfileMismatchError(f"expected a vector over {profile}, got {u.profile}")
+        for nu in u.terms:
+            if nu not in columns:
+                pushed = pushdown_poly(m, polyrep.act(h, LaurentPoly.monomial(profile, nu)))
+                columns[nu] = [(k, gk, c) for k in range(m) for gk, c in pushed[k].terms.items()]
+    for u in vectors:
+        rows: list[dict[tuple[int, int], int]] = [dict() for _ in range(m)]
+        for nu, a in u.terms.items():
+            for k, gk, c in columns[nu]:
+                row = rows[k]
+                row[gk] = row.get(gk, 0) + a * c
+        yield tuple(LaurentPoly(GS_PROFILE, {gk: c for gk, c in row.items() if c}) for row in rows)

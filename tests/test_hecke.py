@@ -247,6 +247,16 @@ def test_literals_round_trip():
         parse_hecke(2, "T[1")
 
 
+def test_basis_rejects_wrong_lengths():
+    # the product shifts exponents with zip, so a long lam once came out as e[2,2]
+    with pytest.raises(ValueError, match="m=2"):
+        HeckeElt.e((1, 0)) * HeckeElt.basis(2, (1, 2, 3), (0, 1))
+    for lam, perm in [((1,), (0, 1)), ((1, 0), (0,)), ((1, 0), (0, 1, 2))]:
+        with pytest.raises(ValueError, match="m=2"):
+            HeckeElt.basis(2, lam, perm)
+    assert str(HeckeElt.basis(2, [1, 0], [1, 0])) == "e[1,0]*T[1]"
+
+
 def test_tw_powers_match_iterated_products():
     for m in range(1, 5):
         # T_{w1}^{-1} = s^{1-m} e^{(0,..,0,1)} T_{sigma_1^{-1}}, an independent form

@@ -1,4 +1,5 @@
-"""Exact linear algebra: two determinant routes and rational nullspaces."""
+"""Exact linear algebra: two determinant routes, and the integer nullspace
+against a Fraction RREF oracle."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glhecke import springer
 from glhecke.laurent import GS_PROFILE, LaurentPoly
 from glhecke.linalg import det_expansion, det_laurent, nullspace
 
@@ -88,3 +90,77 @@ def test_nullspace_is_the_rref_basis(rows):
     free = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
     for k, vec in enumerate(basis):
         assert [vec[c] for c in free] == [int(j == k) for j in range(len(free))]
+
+
+def _subtract(row, f, pivot):
+    """row -= f * pivot in place, dropping the entries that become zero."""
+    for j, x in pivot.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _rref_nullspace(rows):
+    """The nullspace by a sparse RREF over Fractions, with every pivot row
+    divided to 1 as it is found: the oracle for the integer elimination."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = {}  # pivot column -> its RREF row
+    for dense in rows:
+        row = {j: Fraction(x) for j, x in enumerate(dense) if x}
+        for p in [j for j in row if j in pivots]:
+            _subtract(row, row[p], pivots[p])
+        if row:
+            c = min(row)
+            row = {j: x / row[c] for j, x in row.items()}
+            for other in pivots.values():
+                if c in other:
+                    _subtract(other, other[c], row)
+            pivots[c] = row
+    free = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in pivots}
+    for c, vec in free.items():
+        vec[c] = Fraction(1)
+    for p, row in pivots.items():
+        for j, x in row.items():
+            if j in free:
+                free[j][p] = -x
+    return list(free.values())
+
+
+int_matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-4, 4) | st.just(0), min_size=ncols, max_size=ncols), min_size=1, max_size=7
+    )
+)
+wide_fractions = st.one_of(st.just(Fraction(0)), st.fractions(-50, 50, max_denominator=12))
+rational_matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(wide_fractions, min_size=ncols, max_size=ncols), min_size=1, max_size=7
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(int_matrices)
+def test_nullspace_matches_fraction_rref_on_integers(rows):
+    got = nullspace(rows)
+    assert got == _rref_nullspace(rows)
+    assert all(type(x) is Fraction for vec in got for x in vec)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rational_matrices)
+def test_nullspace_matches_fraction_rref_on_rationals(rows):
+    # dependent rows make pivots that the later rows must share
+    rows = rows + [[a + 2 * b for a, b in zip(rows[0], rows[-1])]]
+    assert nullspace(rows) == _rref_nullspace(rows)
+
+
+@pytest.mark.parametrize("m, degree", [(m, 2) for m in range(2, 7)] + [(3, 3), (4, 3)])
+def test_kernel_vectors_match_the_fraction_rref_route(monkeypatch, m, degree):
+    got = [str(u) for u in springer.kernel_vectors(m, degree)]
+    monkeypatch.setattr(springer, "nullspace", _rref_nullspace)
+    assert got == [str(u) for u in springer.kernel_vectors(m, degree)]

@@ -242,6 +242,11 @@ def test_center_scalar_action():
                 assert springer.k_act(zel, b) == b.scale(scal)
 
 
+def _stability_generators(m):
+    gens = [HeckeElt.tw(m, 1), *(HeckeElt.gen(m, i) for i in range(1, m + 1))]
+    return gens + [HeckeElt.e((1,) + (0,) * (m - 1))]
+
+
 @st.composite
 def x_poly_pairs(draw):
     """A rank m in 2..4 and two polynomials in its x-profile."""
@@ -257,9 +262,7 @@ def test_act_and_pushdown_are_linear(muv, a, b):
     # the linearity that lets kernel-stability check a basis and not combinations
     m, u, v = muv
     w = u * a + v * b
-    gens = [HeckeElt.tw(m, 1), *(HeckeElt.gen(m, i) for i in range(1, m + 1))]
-    gens.append(HeckeElt.e((1,) + (0,) * (m - 1)))
-    for g in gens:
+    for g in _stability_generators(m):
         assert polyrep.act(g, w) == polyrep.act(g, u) * a + polyrep.act(g, v) * b
     pu, pv = springer.pushdown_poly(m, u), springer.pushdown_poly(m, v)
     assert springer.pushdown_poly(m, w) == tuple(x * a + y * b for x, y in zip(pu, pv))
@@ -289,6 +292,54 @@ def test_kernel_stability_catches_planted_faults(monkeypatch):
     assert check.status == "fail"
     u = kernel_vectors(m, 2)[0]
     assert check.counterexample == f"kernel not stable under {HeckeElt.tw(m, 1)} at {u}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_pushdown_act_matches_the_direct_route(m):
+    kernel = springer.kernel_vectors(m, 2)
+    for g in _stability_generators(m):
+        direct = [springer.pushdown_poly(m, polyrep.act(g, u)) for u in kernel]
+        assert list(springer.pushdown_act(m, g, kernel)) == direct
+    # off the kernel too: the images of the box monomials and of sums of them
+    box = [LaurentPoly.monomial(x_profile(m), nu + (0,)) for nu in product(range(3), repeat=m)]
+    vectors = [box[0] * 3 - box[-1], box[1] + box[2] * -2 + box[-2]]
+    for g in _stability_generators(m):
+        direct = [springer.pushdown_poly(m, polyrep.act(g, u)) for u in vectors]
+        assert list(springer.pushdown_act(m, g, vectors)) == direct
+
+
+def _flipped_act_T(act_T):
+    """T_si with the sign of its s-shifted (-s^2 quotient) terms flipped,
+    applied one monomial at a time, so the fault stays linear."""
+
+    def act(i, u, m):
+        total = LaurentPoly.zero(u.profile)
+        for key, c in u.terms.items():
+            image = act_T(i, LaurentPoly.monomial(u.profile, key, c), m)
+            flipped = {k: -d if k[m] == key[m] + 2 else d for k, d in image.terms.items()}
+            total = total + LaurentPoly(u.profile, flipped)
+        return total
+
+    return act
+
+
+def _swap_x1_x2(u):
+    return LaurentPoly(u.profile, {(k[1], k[0], *k[2:]): c for k, c in u.terms.items()})
+
+
+@pytest.mark.parametrize("fault", ["flip-s-shifted-terms", "add-x1-x2-swap"])
+def test_kernel_stability_reports_linear_faults_in_loop_order(monkeypatch, fault):
+    # the counterexample the vector-outside, generator-inside loop reported
+    if fault == "flip-s-shifted-terms":
+        monkeypatch.setattr(polyrep, "act_T", _flipped_act_T(polyrep.act_T))
+    else:
+        act = polyrep.act
+        monkeypatch.setattr(polyrep, "act", lambda h, u: act(h, u) + _swap_x1_x2(u))
+    check = verify.run_check("springer", "kernel-stability", 4)
+    assert check.status == "fail"
+    assert check.counterexample == (
+        "kernel not stable under (s^-3)*e[-1,0,0,0]*T[1]*T[2]*T[3] at x2*x3 - x2 - x3 + 1"
+    )
 
 
 def test_k_act_is_a_module_action():
