@@ -3,7 +3,8 @@ Z[g^{+-1}, s^{+-1}] by fraction-free Bareiss elimination (``det_laurent``),
 with signed permutation expansion (``det_expansion``) kept as its
 independent oracle, and rational nullspaces by integer elimination: rows
 are cleared of denominators, reduced over Z with primitive pivot rows, and
-divided by their pivots only when the RREF basis is read off, as Fractions.
+divided by their pivots only when the RREF basis is read off, as sparse
+maps of Fractions.
 """
 
 from __future__ import annotations
@@ -110,10 +111,12 @@ def _primitive(row: dict[int, int], c: int) -> dict[int, int]:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def nullspace(rows: list[list[Fraction | int]]) -> list[list[Fraction]]:
+def nullspace(rows: list[list[Fraction | int]]) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace of a matrix over Q (Fraction or int
     entries), read off its reduced row echelon form: one vector per free
-    column, ascending, with 1 there and 0 at the other free columns.
+    column, ascending, with 1 there and 0 at the other free columns.  Each
+    vector is a sparse ``{column: Fraction}`` map of its nonzero entries in
+    ascending column order.
 
     The elimination runs over Z.  Each row is scaled by the lcm of its
     denominators and reduced, as a sparse ``{column: int}`` map, against the
@@ -138,12 +141,13 @@ def nullspace(rows: list[list[Fraction | int]]) -> list[list[Fraction]]:
                     _eliminate(other, c, row)
                     pivots[q] = _primitive(other, q)
             pivots[c] = row
-    free = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in pivots}
-    for c, vec in free.items():
-        vec[c] = Fraction(1)
-    for p, row in pivots.items():
+    free: dict[int, dict[int, Fraction]] = {c: {} for c in range(ncols) if c not in pivots}
+    for p in sorted(pivots):
+        row = pivots[p]
         pv = row[p]
         for j, x in row.items():
             if j in free:
                 free[j][p] = Fraction(-x, pv)
+    for c, vec in free.items():
+        vec[c] = Fraction(1)  # after its pivot columns, which all lie left of c
     return list(free.values())

@@ -505,9 +505,8 @@ def kernel_vectors(m: int, degree: int = 1) -> list[LaurentPoly]:
             rows[pos][jcol] = c
     out = []
     for vec in nullspace(rows):
-        support = [(nu, x) for nu, x in zip(box, vec) if x]
-        denom = lcm(*(x.denominator for _, x in support))
-        out.append(LaurentPoly(profile, {nu + (0,): int(x * denom) for nu, x in support}))
+        denom = lcm(*(x.denominator for x in vec.values()))
+        out.append(LaurentPoly(profile, {box[j] + (0,): int(x * denom) for j, x in vec.items()}))
     return out
 
 

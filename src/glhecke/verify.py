@@ -29,10 +29,9 @@ import hashlib
 import json
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import polyrep, springer, theta, weyl
 from .hecke import ONE_MINUS_V, HeckeElt, V, V_MINUS_1, perm_word, t_element, t_inverse
@@ -164,33 +163,55 @@ def _lambda_box(m: int) -> list[tuple[int, ...]]:
 # -- the BFS length oracle ---------------------------------------------------------
 
 
-def bfs_length_table(m: int, lam_bound: int, slack: int = 4) -> dict[weyl.AffineWeylElt, int]:
-    """Shortest word lengths over the Cayley graph of W_aff x| Omega with
-    zero-weight Omega moves, pruned to |lambda_i| <= lam_bound + slack."""
+def bfs_lengths(m: int, lam_bound: int, slack: int = 4) -> Iterator[tuple[weyl.AffineWeylElt, int]]:
+    """Yield every (w, d) with d the shortest word length of w over the
+    Cayley graph of W_aff x| Omega, with weight-1 moves w -> w s_i and
+    weight-0 moves w -> w omega^(+-1), pruned to |lambda_i| <= lam_bound +
+    slack; each w once, one layer (all w at one distance d) at a time.
+
+    This is frontier search (Korf, Zhang, Thayer and Hohwald, "Frontier
+    search", J. ACM 52(5), 2005): only layers d - 1 and d are held while
+    layer d + 1 is built.  It is exact because the pruned graph is
+    undirected: each s_i is an involution, omega and omega^-1 are both
+    moves, and pruning removes vertices, not edges.  So the distances at the
+    two ends of an edge of weight c differ by at most c: an s_i-neighbour of
+    layer d lies in layer d - 1, d or d + 1, and an Omega-neighbour of layer
+    d lies in layer d.  A shortest path to a vertex of layer d + 1 ends with
+    one s_i move out of layer d followed by Omega moves only, so layer d + 1
+    is the set of s_i-neighbours of layer d that lie in neither layer d - 1
+    nor layer d, closed under the in-cap Omega moves."""
     cap = lam_bound + slack
     gens1 = [weyl.simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
     gens0 = [weyl.omega(m, 1), weyl.omega(m, -1)]
-    start = weyl.identity(m)
-    dist: dict[weyl.AffineWeylElt, int] = {start: 0}
-    queue: deque[weyl.AffineWeylElt] = deque([start])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur]
-        for g in gens0:
-            nxt = cur * g
-            if max(nxt.trans) > cap or min(nxt.trans) < -cap:
-                continue
-            if nxt not in dist or dist[nxt] > d:
-                dist[nxt] = d
-                queue.appendleft(nxt)
-        for g in gens1:
-            nxt = cur * g
-            if max(nxt.trans) > cap or min(nxt.trans) < -cap:
-                continue
-            if nxt not in dist:
-                dist[nxt] = d + 1
-                queue.append(nxt)
-    return dist
+
+    def inside(w: weyl.AffineWeylElt) -> bool:
+        return -cap <= min(w.trans) and max(w.trans) <= cap
+
+    def omega_closure(layer: set[weyl.AffineWeylElt]) -> set[weyl.AffineWeylElt]:
+        stack = list(layer)
+        while stack:
+            cur = stack.pop()
+            for g in gens0:
+                nxt = cur * g
+                if nxt not in layer and inside(nxt):
+                    layer.add(nxt)
+                    stack.append(nxt)
+        return layer
+
+    before: set[weyl.AffineWeylElt] = set()
+    layer = omega_closure({weyl.identity(m)})
+    d = 0
+    while layer:
+        for w in layer:
+            yield w, d
+        after: set[weyl.AffineWeylElt] = set()
+        for w in layer:
+            for g in gens1:
+                nxt = w * g
+                if nxt not in layer and nxt not in before and inside(nxt):
+                    after.add(nxt)
+        before, layer = layer, omega_closure(after)
+        d += 1
 
 
 # -- the check runner -------------------------------------------------------------
@@ -527,14 +548,16 @@ def _omega_conjugation(c: _Ctx):
 
 def _weyl_bfs(c: _Ctx):
     m = c.m
-    table = bfs_length_table(m, 2)
-    for elt, d in table.items():
+    reached = set()  # the elements of the box |lambda_i| <= 2
+    for elt, d in bfs_lengths(m, 2):
         if weyl.length(elt) != d or weyl.window_inversions(elt) != d:
             return f"length mismatch at {elt}: bfs={d} formula={weyl.length(elt)}"
+        if -2 <= min(elt.trans) and max(elt.trans) <= 2:
+            reached.add(elt)
     for lam in product(range(-2, 3), repeat=m):
         for perm in permutations(range(m)):
             elt = weyl.AffineWeylElt(lam, perm)
-            if elt not in table:
+            if elt not in reached:
                 return f"BFS did not reach {elt}"
     return True
 

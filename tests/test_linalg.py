@@ -48,11 +48,22 @@ def test_nullspace():
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
     basis = nullspace(rows)
-    assert len(basis) == 1
-    vec = basis[0]
+    assert basis == [{0: 1, 1: -1, 2: 1}]
     for row in rows:
-        assert sum(a * b for a, b in zip(row, vec)) == 0
+        assert sum(row[j] * x for j, x in basis[0].items()) == 0
     assert nullspace([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == []
+
+
+def _dense(basis, ncols):
+    """The sparse ``{column: Fraction}`` vectors of ``nullspace`` as lists."""
+    out = []
+    for vec in basis:
+        assert all(vec.values()) and list(vec) == sorted(vec)
+        dense = [Fraction(0)] * ncols
+        for j, x in vec.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def _rank(rows):
@@ -81,7 +92,8 @@ matrices = st.integers(1, 6).flatmap(
 @given(matrices)
 def test_nullspace_is_the_rref_basis(rows):
     ncols = len(rows[0])
-    basis = nullspace(rows)
+    basis = _dense(nullspace(rows), ncols)
+    assert basis == _rref_nullspace(rows)
     for vec in basis:
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
     ranks = [_rank([row[:c] for row in rows]) for c in range(ncols + 1)]
@@ -147,8 +159,8 @@ rational_matrices = st.integers(1, 7).flatmap(
 @given(int_matrices)
 def test_nullspace_matches_fraction_rref_on_integers(rows):
     got = nullspace(rows)
-    assert got == _rref_nullspace(rows)
-    assert all(type(x) is Fraction for vec in got for x in vec)
+    assert _dense(got, len(rows[0])) == _rref_nullspace(rows)
+    assert all(type(x) is Fraction for vec in got for x in vec.values())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -156,11 +168,15 @@ def test_nullspace_matches_fraction_rref_on_integers(rows):
 def test_nullspace_matches_fraction_rref_on_rationals(rows):
     # dependent rows make pivots that the later rows must share
     rows = rows + [[a + 2 * b for a, b in zip(rows[0], rows[-1])]]
-    assert nullspace(rows) == _rref_nullspace(rows)
+    assert _dense(nullspace(rows), len(rows[0])) == _rref_nullspace(rows)
 
 
 @pytest.mark.parametrize("m, degree", [(m, 2) for m in range(2, 7)] + [(3, 3), (4, 3)])
 def test_kernel_vectors_match_the_fraction_rref_route(monkeypatch, m, degree):
     got = [str(u) for u in springer.kernel_vectors(m, degree)]
-    monkeypatch.setattr(springer, "nullspace", _rref_nullspace)
+
+    def sparse_rref(rows):
+        return [{j: x for j, x in enumerate(vec) if x} for vec in _rref_nullspace(rows)]
+
+    monkeypatch.setattr(springer, "nullspace", sparse_rref)
     assert got == [str(u) for u in springer.kernel_vectors(m, degree)]

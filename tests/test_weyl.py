@@ -1,7 +1,11 @@
 """Group structure, the length function against two independent oracles,
 reduced words, and literals."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from itertools import permutations, product
 
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glhecke import verify, weyl
-from glhecke.verify import bfs_length_table
+from glhecke.verify import bfs_lengths
 
 
 def random_elt(m, rng, bound=2):
@@ -73,12 +77,15 @@ def test_one_element_four_ways():
 
 @pytest.mark.parametrize("name", ["length", "window_inversions"])
 def test_planted_length_fault_fails_bfs_check(monkeypatch, name):
-    target = weyl.parse_weyl(3, "t[2,0,-2]*p[1,2,3]")
+    # the second target lies on the pruning boundary |lambda_i| = 2 + 4,
+    # outside the box whose reach the check tests
     honest = getattr(weyl, name)
-    monkeypatch.setattr(weyl, name, lambda w: honest(w) + (w == target))
-    check = verify.run_check("hecke", "weyl-length-bfs", 3)
-    assert check.status == "fail"
-    assert "t[2,0,-2]*p[1,2,3]" in check.counterexample
+    for literal in ("t[2,0,-2]*p[1,2,3]", "t[6,0,-6]*p[1,2,3]"):
+        target = weyl.parse_weyl(3, literal)
+        monkeypatch.setattr(weyl, name, lambda w, target=target: honest(w) + (w == target))
+        check = verify.run_check("hecke", "weyl-length-bfs", 3)
+        assert check.status == "fail"
+        assert literal in check.counterexample
 
 
 def test_length_known_values():
@@ -200,10 +207,70 @@ def test_conjugate_simple():
                 assert lhs == weyl.simple_reflection(m, weyl.conjugate_simple(m, i, j))
 
 
+def deque_bfs_lengths(m, lam_bound, slack=4):
+    """The whole distance table by a deque 0-1 BFS over the same pruned
+    Cayley graph: the oracle for the layer-by-layer ``bfs_lengths``."""
+    cap = lam_bound + slack
+    gens1 = [weyl.simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
+    gens0 = [weyl.omega(m, 1), weyl.omega(m, -1)]
+    start = weyl.identity(m)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        d = dist[cur]
+        for g in gens0:
+            nxt = cur * g
+            if max(nxt.trans) > cap or min(nxt.trans) < -cap:
+                continue
+            if nxt not in dist or dist[nxt] > d:
+                dist[nxt] = d
+                queue.appendleft(nxt)
+        for g in gens1:
+            nxt = cur * g
+            if max(nxt.trans) > cap or min(nxt.trans) < -cap:
+                continue
+            if nxt not in dist:
+                dist[nxt] = d + 1
+                queue.append(nxt)
+    return dist
+
+
+@pytest.mark.parametrize("m, size", [(1, 13), (2, 338), (3, 13_182)])
+def test_bfs_lengths_match_the_deque_bfs(m, size):
+    pairs = list(bfs_lengths(m, 2))
+    assert len(pairs) == size  # each element yielded once
+    assert dict(pairs) == deque_bfs_lengths(m, 2)
+
+
+def test_bfs_check_memory_does_not_grow_with_the_graph():
+    # The whole m = 3 table grew the peak RSS by 3.0 MiB; two layers and the
+    # 750 elements of the box stay well under 1.5 MiB.  Linux carries the
+    # peak RSS of the spawning process (here pytest) over exec, so the check
+    # runs in a fork of the fresh interpreter, whose peak starts at its own size.
+    script = (
+        "import os, resource\n"
+        "from glhecke import verify\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    status = verify.run_check('hecke', 'weyl-length-bfs', 3).status\n"
+        "    print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, flush=True)\n"
+        "    os._exit(0)\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(weyl.__file__)))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    status, growth_kib = out.stdout.split()
+    assert status == "pass"
+    assert int(growth_kib) < 1.5 * 1024, f"peak RSS grew by {growth_kib} KiB"
+
+
 def test_bfs_oracle_small():
     # exhaustive for m <= 3, |lam_i| <= 2
     for m in (1, 2, 3):
-        table = bfs_length_table(m, 2)
+        table = dict(bfs_lengths(m, 2))
         for lam in product(range(-2, 3), repeat=m):
             for perm in permutations(range(m)):
                 w = weyl.AffineWeylElt(lam, perm)
