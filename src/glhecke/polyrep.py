@@ -18,7 +18,7 @@ Hecke elements act through their Bernstein-basis expansion.
 
 from __future__ import annotations
 
-from .hecke import HeckeElt, perm_word, t_element
+from .hecke import ONE_S, HeckeElt, perm_word, t_element
 from .laurent import LaurentPoly, ProfileMismatchError, check_terms, x_profile
 from . import weyl
 
@@ -94,7 +94,8 @@ def _embed_s(c: LaurentPoly, profile: tuple[str, ...], m: int) -> LaurentPoly:
 
 
 def act(h: HeckeElt, u: LaurentPoly) -> LaurentPoly:
-    """h * u through the Bernstein expansion of h."""
+    """h * u through the Bernstein expansion of h; a zero lam and a unit
+    coefficient are skipped, not applied."""
     m = h.m
     if u.profile != x_profile(m):
         raise ProfileMismatchError(f"expected a vector over {x_profile(m)}, got {u.profile}")
@@ -103,8 +104,9 @@ def act(h: HeckeElt, u: LaurentPoly) -> LaurentPoly:
         vec = u
         for i in reversed(perm_word(w)):
             vec = act_T(i, vec, m)
-        vec = act_e(lam, vec, m)
-        total = total + _embed_s(c, u.profile, m) * vec
+        if any(lam):
+            vec = act_e(lam, vec, m)
+        total = total + (vec if c == ONE_S else _embed_s(c, u.profile, m) * vec)
     return total
 
 

@@ -29,21 +29,38 @@ The Hecke action k_act is linear over Z[g^{+-1}, s^{+-1}]: it acts on the
 canonical preimages l_0 = 1, l_i = s^{i(m-i)} e^{omega_i} of the theorem
 basis in the polynomial representation, pushes each result down along
 e^lam -> L_{-lam}, and sums them with the coordinates of the class as
-coefficients.  Well-definedness is the kernel-stability property checked in
-the verification suite.
+coefficients.
+
+That action is well defined because the kernel I of ``pushdown_poly`` on
+P = Z[x^+-1, s^+-1] is stable under H.  ``kernel_generators`` gives the
+generators of I, and the ``kernel-stability`` check of the verification
+suite proves the stability from them:
+
+  * I is an ideal, since each fixed-point restriction is a ring map.
+  * D = x_1 ... x_m pushes down to g^-1 at every fixed point (the s-weights
+    of a full flag sum to 0), so pushdown is linear over R = Z[D^+-1, s^+-1].
+  * Write r_k for the theorem-basis coordinates of pushdown(x_j l_i), and
+    lift them by g^a s^b -> D^-a s^b.  Then G_ji = x_j l_i - sum_k lift(r_k) l_k
+    lies in I; m(m-1) of the G_ji are nonzero.
+  * The R-span of the l_k plus the ideal (G) contains 1 and is closed under
+    each x_j and each x_j^-1 = D^-1 prod_{k != j} x_k, so it is all of P.
+    Freeness of the theorem basis (det V != 0) then gives I = (G).
+  * H is generated by T_1, ..., T_{m-1} and the e^{+-eps_j}, which
+    ``polyrep.act`` composes.  P is free over the s_i-invariants with basis
+    {1, x_i}, and T_i is linear over them, so I is H-stable iff T_i G,
+    T_i (x_i G) and e^{+-eps_j} G lie in I for every generator G and every
+    i and j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import lcm
 from typing import NamedTuple
 
 from . import polyrep
 from .hecke import HeckeElt
 from .laurent import GS_PROFILE, LaurentPoly, ProfileMismatchError, is_symmetric, x_profile
-from .linalg import det_laurent, nullspace
+from .linalg import det_laurent
 
 __all__ = [
     "FixedFlagTable",
@@ -61,8 +78,7 @@ __all__ = [
     "bundle_identities_hold",
     "skyscraper_pm",
     "exact_sequence_identities_hold",
-    "kernel_vectors",
-    "pushdown_act",
+    "kernel_generators",
     "pushdown_poly",
 ]
 
@@ -81,11 +97,14 @@ class FixedFlagTable:
 
     ``weights[k][j]`` is the (g, s)-exponent pair of F_{j+1}/F_j at the fixed
     point p_{k+1}; ``flags[k][j]`` lists which standard vectors span F_{j+1}.
+    ``steps[k]`` lists the (j, dg, ds) with weights[k+1][j] - weights[k][j]
+    = (dg, ds) nonzero: adjacent fixed points differ in two slots.
     """
 
     m: int
     flags: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[tuple[tuple[int, int], ...], ...]
+    steps: tuple[tuple[tuple[int, int, int], ...], ...]
 
     def weight_poly(self, k: int, j: int) -> LaurentPoly:
         ge, se = self.weights[k][j]
@@ -120,7 +139,12 @@ def build_fixed_flags(m: int) -> FixedFlagTable:
             row.append(_vector_weight(m, new))
             prev = step
         weights.append(tuple(row))
-    return FixedFlagTable(m, tuple(flags), tuple(weights))
+    steps = tuple(
+        tuple((j, g1 - g0, s1 - s0) for j, ((g0, s0), (g1, s1)) in enumerate(zip(a, b))
+              if (g0, s0) != (g1, s1))
+        for a, b in zip(weights, weights[1:])
+    )
+    return FixedFlagTable(m, tuple(flags), tuple(weights), steps)
 
 
 _flag_cache: dict[int, FixedFlagTable] = {}
@@ -264,25 +288,37 @@ def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPo
 
 def pushdown_poly(m: int, u: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """Push a vector of the polynomial representation down to a fixed-point
-    tuple along e^lam -> L_{-lam}; s coefficients pass through."""
+    tuple along e^lam -> L_{-lam}; s coefficients pass through.  A term's
+    (g, s)-exponent at p_1 is read off the weights there, and at each next
+    fixed point it moves only in the slots of ``FixedFlagTable.steps``."""
     if u.profile != x_profile(m):
         raise ProfileMismatchError(f"expected a vector over {x_profile(m)}, got {u.profile}")
-    weights = flags(m).weights
-    rows: list[dict[tuple[int, int], int]] = [dict() for _ in range(m)]
+    table = flags(m)
+    walk = list(zip([dict() for _ in range(m)], ((),) + table.steps))
     for key, c in u.terms.items():
-        for k in range(m):
-            ge, se = 0, key[m]
-            for (wg, ws), e in zip(weights[k], key):
+        ge, se = 0, key[m]
+        for (wg, ws), e in zip(table.weights[0], key):
+            if e:
+                ge -= wg * e
+                se -= ws * e
+        for row, step in walk:
+            for j, dg, ds in step:
+                e = key[j]
                 if e:
-                    ge -= wg * e
-                    se -= ws * e
+                    ge -= dg * e
+                    se -= ds * e
             kk = (ge, se)
-            c2 = rows[k].get(kk, 0) + c
+            c2 = row.get(kk, 0) + c
             if c2:
-                rows[k][kk] = c2
+                row[kk] = c2
             else:
-                del rows[k][kk]
-    return tuple(LaurentPoly(GS_PROFILE, row) for row in rows)
+                del row[kk]
+    return tuple(LaurentPoly(GS_PROFILE, row) for row, _ in walk)
+
+
+def _basis_lift(m: int, i: int) -> LaurentPoly:
+    """l_0 = 1 and l_i = s^{i(m-i)} x^{omega_i}, which push down to B_i."""
+    return LaurentPoly.monomial(x_profile(m), (1,) * i + (0,) * (m - i) + (i * (m - i),))
 
 
 def k_act(h: HeckeElt, c: KClass) -> KClass:
@@ -290,13 +326,11 @@ def k_act(h: HeckeElt, c: KClass) -> KClass:
     coordinates c_i, then re-express the tuple in the theorem basis."""
     m = c.m
     coords = c.coords if c.coords is not None else coords_in_theorem_basis(c.entries)
-    profile = x_profile(m)
     entries = (LaurentPoly.zero(GS_PROFILE),) * m
     for i, ci in enumerate(coords):
         if ci.is_zero():
             continue
-        lift = LaurentPoly.monomial(profile, (1,) * i + (0,) * (m - i) + (i * (m - i),), 1)
-        pushed = pushdown_poly(m, polyrep.act(h, lift))
+        pushed = pushdown_poly(m, polyrep.act(h, _basis_lift(m, i)))
         entries = tuple(e + ci * p for e, p in zip(entries, pushed))
     return KClass(entries, coords_in_theorem_basis(entries))
 
@@ -482,53 +516,27 @@ def exact_sequence_identities_hold(m: int) -> bool:
 # -- kernel of the restriction map ---------------------------------------------
 
 
-def kernel_vectors(m: int, degree: int = 1) -> list[LaurentPoly]:
-    """A basis of Q-linear relations among the pushdowns of the monomial box
-    {x^nu : 0 <= nu_i <= degree}; elements are polynomials in the
-    x-profile that restrict to zero on every fixed point."""
+def kernel_generators(m: int) -> list[LaurentPoly]:
+    """The nonzero G_ji = x_j l_i - sum_k lift(r_k) l_k of the module
+    docstring, in (j, i) order: r is the theorem-basis coordinate vector of
+    pushdown(x_j l_i) and lift sends g^a s^b to D^-a s^b.  A pushdown with
+    no Laurent-integral coordinates raises ``SpanError`` naming x_j l_i."""
     profile = x_profile(m)
-    box = list(product(range(degree + 1), repeat=m))
-    columns = []
-    keys: dict[tuple[int, tuple[int, int]], int] = {}
-    for nu in box:
-        mono = LaurentPoly.monomial(profile, nu + (0,), 1)
-        tup = pushdown_poly(m, mono)
-        col = {}
-        for k in range(m):
-            for gk, c in tup[k].terms.items():
-                pos = keys.setdefault((k, gk), len(keys))
-                col[pos] = c
-        columns.append(col)
-    rows = [[0] * len(box) for _ in range(len(keys))]
-    for jcol, col in enumerate(columns):
-        for pos, c in col.items():
-            rows[pos][jcol] = c
+    lifts = [_basis_lift(m, i) for i in range(m)]
+    to_d = {"g": LaurentPoly.monomial(profile, (-1,) * m + (0,))}
     out = []
-    for vec in nullspace(rows):
-        denom = lcm(*(x.denominator for x in vec.values()))
-        out.append(LaurentPoly(profile, {box[j] + (0,): int(x * denom) for j, x in vec.items()}))
+    for j in range(m):
+        xj = LaurentPoly.variable(profile, f"x{j + 1}")
+        for lift in lifts:
+            xl = xj * lift
+            try:
+                coords = coords_in_theorem_basis(pushdown_poly(m, xl))
+            except SpanError as exc:
+                raise SpanError(f"{xl} pushes down outside the theorem-basis span") from exc
+            gen = xl
+            for r, lk in zip(coords, lifts):
+                if not r.is_zero():
+                    gen = gen - r.subst(profile, to_d) * lk
+            if not gen.is_zero():
+                out.append(gen)
     return out
-
-
-def pushdown_act(m: int, h: HeckeElt, vectors: list[LaurentPoly]):
-    """Yield ``pushdown_poly(m, polyrep.act(h, u))`` for each u in vectors, in
-    order, by linearity: P(h u) = sum_nu u_nu P(h x^nu).  Each monomial x^nu
-    in the support of the vectors is acted on and pushed down once, as a
-    sparse column; each vector then combines the columns with its integer
-    coefficients.  The columns live as long as the generator."""
-    profile = x_profile(m)
-    columns: dict[tuple[int, ...], list[tuple[int, tuple[int, int], int]]] = {}
-    for u in vectors:
-        if u.profile != profile:
-            raise ProfileMismatchError(f"expected a vector over {profile}, got {u.profile}")
-        for nu in u.terms:
-            if nu not in columns:
-                pushed = pushdown_poly(m, polyrep.act(h, LaurentPoly.monomial(profile, nu)))
-                columns[nu] = [(k, gk, c) for k in range(m) for gk, c in pushed[k].terms.items()]
-    for u in vectors:
-        rows: list[dict[tuple[int, int], int]] = [dict() for _ in range(m)]
-        for nu, a in u.terms.items():
-            for k, gk, c in columns[nu]:
-                row = rows[k]
-                row[gk] = row.get(gk, 0) + a * c
-        yield tuple(LaurentPoly(GS_PROFILE, {gk: c for gk, c in row.items() if c}) for row in rows)

@@ -727,43 +727,47 @@ def _rank(c: _Ctx):
 
 
 def _kernel_stability(c: _Ctx):
-    """Each degree-2 kernel basis vector restricts to zero and stays in the
-    kernel under every generator.  ``polyrep.act`` and ``pushdown_poly`` are
-    Z-linear, so checking the basis proves it for the whole degree-2 kernel.
-
-    The same linearity lets ``springer.pushdown_act`` act on each monomial
-    once per generator and combine the columns per vector.  The first vector
-    also takes the direct route, ``pushdown_poly(act(g, u))``, which catches
-    an ``act`` that is not linear: every kernel vector has coefficient sum 0,
-    so such a fault could cancel on the columns.  The report is the first
-    failure in (vector, generator) order, restriction before generators."""
+    """The kernel I of ``pushdown_poly`` is H-stable, proved from the
+    m(m-1) generators G of I (``springer.kernel_generators``; the argument
+    is in the ``springer`` docstring).  Its premises come first:
+    D = x1...xm pushes down to g^-1 at every fixed point, and
+    act(T_i, f x^lam) = f act(T_i, x^lam) for f among the generators
+    x_i x_(i+1), its inverse, x_i + x_(i+1), s and x_j (j not i, i+1) of the
+    s_i-invariants, with lam_i - lam_(i+1) in [-4, 4], which takes every
+    branch of the telescoping sums of ``act_T``.  Then each G restricts to
+    zero, and T_i G, T_i (x_i G) and e^(+-eps_j) G lie in I.  Every image
+    goes through ``polyrep.act``; the report is the first failure in that
+    order."""
     m = c.m
-    kernel = springer.kernel_vectors(m, degree=2)
-    if not kernel:
-        return "kernel basis unexpectedly empty"
-    gens: list[HeckeElt] = [HeckeElt.tw(m, 1)]
-    gens += [HeckeElt.gen(m, i) for i in range(1, m + 1)]
-    gens.append(HeckeElt.e((1,) + (0,) * (m - 1)))
+    profile = x_profile(m)
+    x = [LaurentPoly.variable(profile, f"x{j}") for j in range(1, m + 1)]
+    d = LaurentPoly.monomial(profile, (1,) * m + (0,))
+    if springer.pushdown_poly(m, d) != (LaurentPoly.monomial(GS_PROFILE, (-1, 0)),) * m:
+        return f"{d} does not push down to g^-1 at every fixed point"
+    ts = [HeckeElt.gen(m, i) for i in range(1, m)]
+    for i, t in enumerate(ts):
+        a, b = x[i], x[i + 1]
+        invariants = [a * b, (a * b) ** -1, a + b, LaurentPoly.variable(profile, "s")]
+        invariants += [xj for j, xj in enumerate(x) if j not in (i, i + 1)]
+        for k in range(-4, 5):
+            u = a**k
+            tu = polyrep.act(t, u)
+            for f in invariants:
+                if polyrep.act(t, f * u) != f * tu:
+                    return f"{t} is not linear over {f} at {u}"
+    es = [HeckeElt.e([sign * (k == j) for k in range(m)]) for j in range(m) for sign in (1, -1)]
 
-    def nonzero(tup):
-        return any(not e.is_zero() for e in tup)
+    def in_kernel(v):
+        return all(e.is_zero() for e in springer.pushdown_poly(m, v))
 
-    # (vector index, generator index); -1 puts a restriction failure first
-    first = next(((i, -1) for i, u in enumerate(kernel) if nonzero(springer.pushdown_poly(m, u))),
-                 (len(kernel), -1))
-    for gi, g in enumerate(gens):
-        if first[0] > 0 and nonzero(springer.pushdown_poly(m, polyrep.act(g, kernel[0]))):
-            first = (0, gi)
-        # a later generator beats the best so far only at a smaller vector
-        # index; its columns are dropped before the next generator's are built
-        first = next(((i, gi) for i, image in enumerate(springer.pushdown_act(m, g, kernel[:first[0]]))
-                      if nonzero(image)), first)
-    i, gi = first
-    if i == len(kernel):
-        return True
-    if gi < 0:
-        return f"kernel basis vector {kernel[i]} does not restrict to zero"
-    return f"kernel not stable under {gens[gi]} at {kernel[i]}"
+    for g in springer.kernel_generators(m):
+        if not in_kernel(g):
+            return f"kernel basis vector {g} does not restrict to zero"
+        images = [(t, u) for t, xi in zip(ts, x) for u in (g, xi * g)] + [(e, g) for e in es]
+        for h, u in images:
+            if not in_kernel(polyrep.act(h, u)):
+                return f"kernel not stable under {h} at {u}"
+    return True
 
 
 # -- theta ----------------------------------------------------------------------------
@@ -858,9 +862,9 @@ _TABLES: dict[str, tuple[_Spec, ...]] = {
         _Spec("kact-examples", _kact_formulas,
               "T_wi O = s^(i(m-i)) L_(-omega_i); T_si O = v O; T_sm O = -O + s^m L_(-w1) + g s^m L_(-w(m-1))"),
         _Spec("center", _central_characters, "orbit sums of e_k act by the restriction scalar res_sigma(e_k)"),
-        # restriction is injective at m = 1; at m = 7 the 1,672 degree-2 basis vectors take about 11 s (2 CPUs)
+        # restriction is injective at m = 1; at m = 16 the 240 ideal generators take about 2 s (2 CPUs)
         _Spec("kernel-stability", _kernel_stability,
-              "generator actions preserve the kernel of the fixed-point restriction", lo=2, hi=7),
+              "generator actions preserve the kernel of the fixed-point restriction", lo=2, hi=16),
     ),
     "theta": (
         _Spec("matrices-integral", _matrices, "generator matrices have Laurent-integral entries"),

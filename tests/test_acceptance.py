@@ -74,8 +74,8 @@ def test_criterion_06_basis_system():
 
 
 def test_criterion_07_kernel_stability():
-    label = "every kernel basis vector stays in the kernel under every generator, m=2..7"
-    _criterion(7, label, 60, "springer", ["kernel-stability"], range(2, 8))
+    label = "the ideal generators of the kernel stay in it under every generator, m=2..16"
+    _criterion(7, label, 60, "springer", ["kernel-stability"], range(2, 17))
 
 
 def test_criterion_08_orbit_combinatorics():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import box_kernel
 from glhecke import polyrep, springer, verify, weyl
 from glhecke.hecke import HeckeElt, t_element
 from glhecke.laurent import GS_PROFILE, LaurentPoly, orbit_sum, parse_poly, x_profile
@@ -259,7 +260,7 @@ def x_poly_pairs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(x_poly_pairs(), st.integers(-3, 3), st.integers(-3, 3))
 def test_act_and_pushdown_are_linear(muv, a, b):
-    # the linearity that lets kernel-stability check a basis and not combinations
+    # the linearity that lets the box oracle check a basis and combine columns
     m, u, v = muv
     w = u * a + v * b
     for g in _stability_generators(m):
@@ -268,51 +269,99 @@ def test_act_and_pushdown_are_linear(muv, a, b):
     assert springer.pushdown_poly(m, w) == tuple(x * a + y * b for x, y in zip(pu, pv))
 
 
-@pytest.mark.parametrize("m, dim", [(3, 8), (4, 172)])
-def test_kernel_stability_at_degree_3(monkeypatch, m, dim):
-    # the registered check, run on the degree-3 kernel basis
-    kernel_vectors = springer.kernel_vectors
-    assert len(kernel_vectors(m, 3)) == dim
-    monkeypatch.setattr(springer, "kernel_vectors", lambda m, degree: kernel_vectors(m, 3))
+def _box_kernel_is_stable(m, degree):
+    """Every box kernel vector, and its image under each generator of
+    ``_stability_generators``, pushes down to zero: the box route, as an
+    oracle for the registered check."""
+    kernel = box_kernel.kernel_vectors(m, degree)
+    images = [springer.pushdown_poly(m, u) for u in kernel]
+    for g in _stability_generators(m):
+        images += box_kernel.pushdown_act(m, g, kernel)
+    return all(e.is_zero() for image in images for e in image)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_box_kernel_is_stable_at_degree_2(m):
+    assert _box_kernel_is_stable(m, 2)
     assert verify.run_check("springer", "kernel-stability", m).status == "pass"
+
+
+@pytest.mark.parametrize("m, dim", [(3, 8), (4, 172)])
+def test_kernel_stability_at_degree_3(m, dim):
+    assert len(box_kernel.kernel_vectors(m, 3)) == dim
+    assert _box_kernel_is_stable(m, 3)
+
+
+def test_kernel_generators_restrict_to_zero():
+    # m(m-1) of the m^2 elements G_ji are nonzero: x_(i+1) l_i is a unit
+    # multiple of l_(i+1), or of D at i = m - 1
+    for m in range(2, 8):
+        gens = springer.kernel_generators(m)
+        assert len(gens) == m * (m - 1), m
+        for g in gens:
+            assert all(e.is_zero() for e in springer.pushdown_poly(m, g)), (m, g)
 
 
 def test_kernel_stability_catches_planted_faults(monkeypatch):
     m = 3
-    kernel_vectors, act = springer.kernel_vectors, polyrep.act
-    one = LaurentPoly.one(x_profile(m))
+    coords, act = springer.coords_in_theorem_basis, polyrep.act
+    one = LaurentPoly.one(GS_PROFILE)
     with monkeypatch.context() as mp:
-        mp.setattr(springer, "kernel_vectors", lambda m, degree: kernel_vectors(m, degree) + [one])
+        # the coordinate of l_0 is off by one, so G_10 = x1 - x1 - 1
+        mp.setattr(springer, "coords_in_theorem_basis", lambda e: (coords(e)[0] + one, *coords(e)[1:]))
         check = verify.run_check("springer", "kernel-stability", m)
     assert check.status == "fail"
-    assert check.counterexample == "kernel basis vector 1 does not restrict to zero"
+    assert check.counterexample == "kernel basis vector -1 does not restrict to zero"
+
+    def no_span(entries):
+        raise springer.SpanError("no coordinates")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(springer, "coords_in_theorem_basis", no_span)
+        check = verify.run_check("springer", "kernel-stability", m)
+    assert check.status == "fail"
+    assert check.counterexample == "SpanError('x1 pushes down outside the theorem-basis span')"
+    pushdown = springer.pushdown_poly
+    d = LaurentPoly.monomial(x_profile(m), (1, 1, 1, 0))
+
+    def shifted_d(m, u):
+        # D pushes down to g^-1 s at every fixed point
+        return tuple(e * gs(0, 1) for e in pushdown(m, u)) if u == d else pushdown(m, u)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(springer, "pushdown_poly", shifted_d)
+        check = verify.run_check("springer", "kernel-stability", m)
+    assert check.status == "fail"
+    assert check.counterexample == "x1*x2*x3 does not push down to g^-1 at every fixed point"
     x1 = LaurentPoly.variable(x_profile(m), "x1")
     monkeypatch.setattr(polyrep, "act", lambda h, u: act(h, u) + x1)
     check = verify.run_check("springer", "kernel-stability", m)
     assert check.status == "fail"
-    u = kernel_vectors(m, 2)[0]
-    assert check.counterexample == f"kernel not stable under {HeckeElt.tw(m, 1)} at {u}"
+    assert check.counterexample == "T[1] is not linear over x1*x2 at x1^-4"
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_pushdown_act_matches_the_direct_route(m):
-    kernel = springer.kernel_vectors(m, 2)
+    kernel = box_kernel.kernel_vectors(m, 2)
     for g in _stability_generators(m):
         direct = [springer.pushdown_poly(m, polyrep.act(g, u)) for u in kernel]
-        assert list(springer.pushdown_act(m, g, kernel)) == direct
+        assert list(box_kernel.pushdown_act(m, g, kernel)) == direct
     # off the kernel too: the images of the box monomials and of sums of them
     box = [LaurentPoly.monomial(x_profile(m), nu + (0,)) for nu in product(range(3), repeat=m)]
     vectors = [box[0] * 3 - box[-1], box[1] + box[2] * -2 + box[-2]]
     for g in _stability_generators(m):
         direct = [springer.pushdown_poly(m, polyrep.act(g, u)) for u in vectors]
-        assert list(springer.pushdown_act(m, g, vectors)) == direct
+        assert list(box_kernel.pushdown_act(m, g, vectors)) == direct
 
 
-def _flipped_act_T(act_T):
+def _flipped_act_T(act_T, only=None):
     """T_si with the sign of its s-shifted (-s^2 quotient) terms flipped,
-    applied one monomial at a time, so the fault stays linear."""
+    applied one monomial at a time, so the fault stays linear; with ``only``
+    set, at i = only(m) alone."""
 
     def act(i, u, m):
+        if only is not None and i != only(m):
+            return act_T(i, u, m)
         total = LaurentPoly.zero(u.profile)
         for key, c in u.terms.items():
             image = act_T(i, LaurentPoly.monomial(u.profile, key, c), m)
@@ -323,23 +372,107 @@ def _flipped_act_T(act_T):
     return act
 
 
+def _bent_at_3(act_T):
+    """T_si plus the identity on the monomials x^lam with lam_i - lam_(i+1) = 3:
+    Z-linear, but not linear over x_i + x_(i+1)."""
+
+    def act(i, u, m):
+        bent = {k: c for k, c in u.terms.items() if k[i - 1] - k[i] == 3}
+        return act_T(i, u, m) + LaurentPoly(u.profile, bent)
+
+    return act
+
+
 def _swap_x1_x2(u):
     return LaurentPoly(u.profile, {(k[1], k[0], *k[2:]): c for k, c in u.terms.items()})
 
 
-@pytest.mark.parametrize("fault", ["flip-s-shifted-terms", "add-x1-x2-swap"])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_kernel_stability_catches_the_flip_fault(monkeypatch, m):
+    # the flipped T_i stays linear over the s_i-invariants, so the premises
+    # hold, and T[1] moves the first generator, G_11, out of the kernel; the
+    # degree-2 box route missed this at m = 3, and neither route catches it
+    # at m = 2
+    monkeypatch.setattr(polyrep, "act_T", _flipped_act_T(polyrep.act_T))
+    check = verify.run_check("springer", "kernel-stability", m)
+    assert check.status == "fail"
+    rest = "*".join(f"x{j}" for j in range(2, m + 1))
+    u = f"-x1^2*{rest}*s^{m - 1} + x1^2*s^{m - 1} + x1*{rest}*s - x1*s"
+    assert check.counterexample == f"kernel not stable under T[1] at {u}"
+
+
+def _swapped_at_last_e(act_e):
+    """e^lam followed by the swap x1 <-> x2 whenever lam_m is nonzero."""
+
+    def act(lam, u, m):
+        return _swap_x1_x2(act_e(lam, u, m)) if lam[m - 1] else act_e(lam, u, m)
+
+    return act
+
+
+# name -> (patched polyrep attribute, fault made from the original, report at m = 4)
+_FAULTS = {
+    "flip-s-shifted-terms": (
+        "act_T", _flipped_act_T,
+        "kernel not stable under T[1] at -x1^2*x2*x3*x4*s^3 + x1^2*s^3 + x1*x2*x3*x4*s - x1*s",
+    ),
+    # T[1] is untouched, so a check that looked at T_1 alone would pass
+    "flip-at-last-index": (
+        "act_T", lambda act_T: _flipped_act_T(act_T, only=lambda m: m - 1),
+        "kernel not stable under T[3] at "
+        "-x1^2*x2*x3*x4*s + x1^2*x2*x3*s^3 + x1*x2*x3*x4*s^-1 - x1*x2*x3*s",
+    ),
+    "bent-at-difference-3": ("act_T", _bent_at_3, "T[1] is not linear over x1 + x2 at x1^2"),
+    # x1 + x2 and x1*x2 commute with the swap, so T[1] passes the premise
+    "add-x1-x2-swap": (
+        "act", lambda act: lambda h, u: act(h, u) + _swap_x1_x2(u),
+        "T[2] is not linear over x2*x3 at x2^-4",
+    ),
+    # e^(eps_1) is untouched, so a check that looked at it alone would pass
+    "swap-after-e-last": (
+        "act_e", _swapped_at_last_e,
+        "kernel not stable under e[0,0,0,1] at -x1^2*x2*x3*x4*s^3 + x1^2*s^3 + x1*x2*x3*x4*s - x1*s",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
 def test_kernel_stability_reports_linear_faults_in_loop_order(monkeypatch, fault):
-    # the counterexample the vector-outside, generator-inside loop reported
-    if fault == "flip-s-shifted-terms":
-        monkeypatch.setattr(polyrep, "act_T", _flipped_act_T(polyrep.act_T))
-    else:
-        act = polyrep.act
-        monkeypatch.setattr(polyrep, "act", lambda h, u: act(h, u) + _swap_x1_x2(u))
+    # the first failure in the order: D, the premise by (i, lam, f), then by
+    # generator G its restriction and its images
+    name, make, want = _FAULTS[fault]
+    monkeypatch.setattr(polyrep, name, make(getattr(polyrep, name)))
     check = verify.run_check("springer", "kernel-stability", 4)
     assert check.status == "fail"
-    assert check.counterexample == (
-        "kernel not stable under (s^-3)*e[-1,0,0,0]*T[1]*T[2]*T[3] at x2*x3 - x2 - x3 + 1"
-    )
+    assert check.counterexample == want
+
+
+@st.composite
+def invariant_pairs(draw):
+    """A rank m in 2..4, an index i, an s_i-invariant f and a vector u: the
+    terms of f come in pairs swapped by x_i <-> x_(i+1), with one coefficient
+    per pair, and may involve s and the other x_j."""
+    m = draw(st.integers(2, 4))
+    i = draw(st.integers(1, m - 1))
+    monomial = st.tuples(*[st.integers(-2, 2)] * m, st.integers(-1, 1))
+    coeffs = st.integers(-3, 3).filter(bool)
+    u = LaurentPoly(x_profile(m), draw(st.dictionaries(monomial, coeffs, max_size=4)))
+    f = {}
+    for key, c in draw(st.dictionaries(monomial, coeffs, max_size=3)).items():
+        swapped = list(key)
+        swapped[i - 1], swapped[i] = key[i], key[i - 1]
+        f[key] = f[tuple(swapped)] = c
+    return m, i, LaurentPoly(x_profile(m), f), u
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(invariant_pairs())
+def test_act_T_is_linear_over_the_invariants(mifu):
+    # the premise that kernel-stability checks on the ring generators of the
+    # s_i-invariants, on every branch of the telescoping sums
+    m, i, f, u = mifu
+    t = HeckeElt.gen(m, i)
+    assert polyrep.act(t, f * u) == f * polyrep.act(t, u)
 
 
 def test_k_act_is_a_module_action():
@@ -375,6 +508,20 @@ def test_pushdown_matches_restriction():
         got = springer.pushdown_poly(m, mono)
         want = springer.restrict_line_bundle(m, [-v for v in nu])
         assert got == want.entries
+
+
+def test_pushdown_walk_matches_restriction_at_higher_rank():
+    # pushdown_poly walks from one fixed point to the next through the two
+    # slots of each step; restrict_line_bundle reads every weight afresh
+    rng = random.Random(35)
+    for m in range(5, 11):
+        assert all(len(step) == 2 for step in springer.flags(m).steps)
+        for _ in range(10):
+            nu = [rng.randint(-2, 2) for _ in range(m)]
+            b = rng.randint(-2, 2)
+            mono = LaurentPoly.monomial(x_profile(m), (*nu, b), 3)
+            want = springer.restrict_line_bundle(m, [-v for v in nu]).scale(gs(0, b, 3))
+            assert springer.pushdown_poly(m, mono) == want.entries
 
 
 def test_k_act_on_line_bundles_matches_their_monomial_lifts():
