@@ -4,8 +4,10 @@ The module with basis IC^0, ..., IC^{m-1} over Z[g^{+-1}, s^{+-1}] is built
 by transport from the Springer K-module: the unique module isomorphism sends
 the theorem basis B_i = s^{i(m-i)} L_{-omega_i} (B_0 = O) to IC^i, so every
 generator matrix here is literally the matrix of ``springer.k_act`` in the
-theorem basis.  The quadratic, braid, Tw[1] and Bernstein relations are
-checked on these cached matrices, as matrix products.  That is exact: every
+theorem basis.  The matrices are cached as sparse rows; ``T[i]`` has about
+m nonzero entries and ``e[..]`` about 3m.  The quadratic, braid, Tw[1] and
+Bernstein relations are checked on them as O(m) sparse matrix products
+(``check_defining_relations`` says why that many suffice).  That is exact: every
 stage of ``k_act`` (lift, polynomial action, pushdown, theorem-basis
 coordinates) is linear over Z[g^{+-1}, s^{+-1}], so applying a word of
 generators to a basis vector gives the matching column of the product of
@@ -31,9 +33,7 @@ the bounds (N, r) form the box -N <= lam_i <= r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, permutations, product
-from operator import mul
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import springer
 from .hecke import HeckeElt, parse_hecke
@@ -70,6 +70,9 @@ _V = _gs(0, 2)
 
 
 PolyMatrix = list[list[LaurentPoly]]
+# A sparse matrix: one {column: entry} dict per row, with no zero entries, so
+# equal matrices have equal rows.
+SparseRows = list[dict[int, LaurentPoly]]
 
 
 @dataclass(frozen=True)
@@ -100,31 +103,49 @@ class ThetaVector:
         return ThetaVector(tuple(x * c for x in self.coords))
 
 
-def mat_vec(mat: PolyMatrix, vec: ThetaVector) -> ThetaVector:
-    m = len(mat)
+def mat_vec(mat: SparseRows, vec: ThetaVector) -> ThetaVector:
     out = []
-    for i in range(m):
-        acc = LaurentPoly.zero(GS_PROFILE)
-        for j in range(m):
-            if not (mat[i][j].is_zero() or vec.coords[j].is_zero()):
-                acc = acc + mat[i][j] * vec.coords[j]
+    for row in mat:
+        acc = _ZERO
+        for j, x in row.items():
+            y = vec.coords[j]
+            if not y.is_zero():
+                acc = acc + x * y
         out.append(acc)
     return ThetaVector(tuple(out))
 
 
-def _poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    n = len(a)
+def _poly_mat_mul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """a b, row by row over the nonzero entries only (Gustavson, ACM TOMS
+    4(3), 1978): row i of the product sums a[i][k] * (row k of b)."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaurentPoly.zero(GS_PROFILE)
-            for k in range(n):
-                if not (a[i][k].is_zero() or b[k][j].is_zero()):
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
+    for row in a:
+        acc: dict[int, LaurentPoly] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                z = acc.get(j)
+                acc[j] = x * y if z is None else z + x * y
+        out.append({j: z for j, z in acc.items() if not z.is_zero()})
+    return out
+
+
+def _add(a: SparseRows, b: SparseRows, c: LaurentPoly = _ONE) -> SparseRows:
+    """a + c b."""
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for j, y in rb.items():
+            z = row.get(j, _ZERO) + y * c
+            if z.is_zero():
+                row.pop(j, None)
+            else:
+                row[j] = z
         out.append(row)
     return out
+
+
+def _dense(mat: SparseRows) -> PolyMatrix:
+    return [[row.get(j, _ZERO) for j in range(len(mat))] for row in mat]
 
 
 def generator_keys(m: int) -> list[str]:
@@ -137,23 +158,23 @@ def generator_keys(m: int) -> list[str]:
     return keys
 
 
-def _matrix_of(m: int, h: HeckeElt) -> PolyMatrix:
-    basis = springer.theorem_basis(m)
-    cols = [springer.k_act(h, b).coords for b in basis]
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+def _matrix_of(m: int, h: HeckeElt) -> SparseRows:
+    cols = [springer.k_act(h, b).coords for b in springer.theorem_basis(m)]
+    return [{j: col[i] for j, col in enumerate(cols) if not col[i].is_zero()} for i in range(m)]
 
 
-def _scalar_matrix(m: int, c: LaurentPoly) -> PolyMatrix:
-    return [[c if i == j else _ZERO for j in range(m)] for i in range(m)]
+def _scalar_matrix(m: int, c: LaurentPoly) -> SparseRows:
+    """c times the identity; c must be nonzero."""
+    return [{i: c} for i in range(m)]
 
 
 _SCALARS = {"g": _gs(1, 0), "s": _S}
-_matrix_cache: dict[tuple[int, str], PolyMatrix] = {}
+_matrix_cache: dict[tuple[int, str], SparseRows] = {}
 
 
-def _matrix(m: int, key: str) -> PolyMatrix:
-    """The cached matrix of a generator key, or of ``Tw[-1]``, in the basis
-    IC^0..IC^{m-1}."""
+def _matrix(m: int, key: str) -> SparseRows:
+    """The cached matrix of a generator key, or of any other Hecke literal
+    such as ``Tw[-1]`` or ``e[0,1,0]``, in the basis IC^0..IC^{m-1}."""
     got = _matrix_cache.get((m, key))
     if got is None:
         if key in _SCALARS:
@@ -165,31 +186,18 @@ def _matrix(m: int, key: str) -> PolyMatrix:
 
 
 def theta_action_matrices(m: int) -> dict[str, PolyMatrix]:
-    """Generator matrices in the basis IC^0..IC^{m-1}; entries are exact
-    Laurent polynomials in g and s (integrality is enforced, not assumed)."""
-    return {key: _matrix(m, key) for key in generator_keys(m)}
+    """Generator matrices in the basis IC^0..IC^{m-1}, dense, zeros included;
+    entries are exact Laurent polynomials in g and s (integrality is
+    enforced, not assumed)."""
+    return {key: _dense(_matrix(m, key)) for key in generator_keys(m)}
 
 
 # -- defining relations, checked on the cached matrices ------------------------
 
 
-def _default_box(m: int) -> list[tuple[int, ...]]:
-    """Cocharacters with entries in {-1,0,1} supported on at most two
-    coordinates, plus the fundamental ones."""
-    box = {(0,) * m}
-    for i in range(m):
-        for v in (-1, 1):
-            lam = [0] * m
-            lam[i] = v
-            box.add(tuple(lam))
-    for i, j in combinations(range(m), 2):
-        for vi, vj in product((-1, 1), repeat=2):
-            lam = [0] * m
-            lam[i], lam[j] = vi, vj
-            box.add(tuple(lam))
-    for i in range(1, m):
-        box.add(tuple([1] * i + [0] * (m - i)))
-    return sorted(box)
+def _unit_key(m: int, k: int) -> str:
+    """The key of e^(eps_k), k = 1..m."""
+    return "e[" + ",".join("1" if j == k else "0" for j in range(1, m + 1)) + "]"
 
 
 def check_conjugation(m: int) -> list[str]:
@@ -203,7 +211,7 @@ def check_conjugation(m: int) -> list[str]:
     if _poly_mat_mul(w, winv) != _scalar_matrix(m, _ONE):
         failures.append("Tw[1] inverse")
     for i in range(1, m + 1):
-        conj = reduce(_poly_mat_mul, [w, _matrix(m, f"T[{i}]"), winv])
+        conj = _poly_mat_mul(_poly_mat_mul(w, _matrix(m, f"T[{i}]")), winv)
         if conj != _matrix(m, f"T[{i % m + 1}]"):
             failures.append(f"conjugation Tw[1] T[{i}]")
     return failures
@@ -213,59 +221,84 @@ def check_defining_relations(m: int) -> list[str]:
     """Verify the Hecke presentation on the transported module; returns the
     violated relations (empty means the action is a genuine module structure).
 
-    Every relation but e-multiplicativity is a product of cached matrices.
-    With E_lam the matrix of e^lam, D(lam) = T_i E_{s_i lam} - E_lam T_i and
-    Delta_i(lam) = (e^lam - e^{s_i lam}) / (1 - e^{-alpha_i}), the Bernstein
-    relation D(lam) = (1 - v) E_{Delta_i(lam)} is checked at the units
-    lam = eps_k, where Delta_i(eps_k) is e^{eps_i}, -e^{eps_i} or 0 as k = i,
-    i + 1 or neither.  That proves it on all of Z^m.  Given e-multiplicativity
-    (checked on line-bundle tuples, plus one spot check through
-    ``springer.k_act``), both sides vanish at 0 and obey the twisted Leibniz
-    rule D(lam + mu) = E_lam D(mu) + D(lam) E_{s_i mu}, hence D(-lam) =
-    -E_{-lam} D(lam) E_{-s_i lam}; for Delta_i the rule reads e^{lam+mu} -
-    e^{s_i(lam+mu)} = e^lam (e^mu - e^{s_i mu}) + (e^lam - e^{s_i lam}) e^{s_i mu}."""
-    failures: list[str] = []
-    t = {i: _matrix(m, f"T[{i}]") for i in range(1, m + 1)} if m >= 2 else {}
+    Every relation but e-multiplicativity is a product of cached sparse
+    matrices, and O(m) products suffice.  Write W = Tw[1], T_i = T[i] and
+    E_k for the matrix of e^(eps_k).
 
-    # quadratic: T_i^2 = (v - 1) T_i + v
-    v_minus_1 = _V - _ONE
-    for i, ti in t.items():
-        rhs = [
-            [x * v_minus_1 + (_V if a == b else _ZERO) for b, x in enumerate(row)]
-            for a, row in enumerate(ti)
-        ]
-        if _poly_mat_mul(ti, ti) != rhs:
-            failures.append(f"quadratic T[{i}]")
-    # braid: cyclic adjacency for m >= 3; m = 2 has no braid relation
-    if m >= 3:
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                adjacent = (j - i) % m in (1, m - 1)
-                a, b = t[i], t[j]
-                word_l = [a, b, a] if adjacent else [a, b]
-                word_r = [b, a, b] if adjacent else [b, a]
-                if reduce(_poly_mat_mul, word_l) != reduce(_poly_mat_mul, word_r):
-                    failures.append(f"{'braid' if adjacent else 'commute'} T[{i}],T[{j}]")
-    # Bernstein at the unit cocharacters, finite nodes (see the docstring)
+    Finite and affine nodes.  ``check_conjugation`` proves W Tw[-1] = 1, so
+    Tw[-1] = W^-1 (the ring is commutative), and W T_i W^-1 = T_(i+1) for
+    every i mod m.  Conjugation by W^(i-1) is a ring automorphism taking
+    T_1 to T_i, so the quadratic relation at i = 1, braid (1, 2) and commute
+    (1, j) for j = 3..m-1 give every quadratic relation, every braid
+    relation of a cyclically adjacent pair (i, i+1) and every commute
+    relation of a pair at cyclic distance j - 1 in 2..m-2, i.e. all of them.
+
+    Bernstein at the units.  With E_lam the matrix of e^lam,
+    D(lam) = T_i E_(s_i lam) - E_lam T_i and
+    Delta_i(lam) = (e^lam - e^(s_i lam)) / (1 - e^(-alpha_i)), the relation
+    D(lam) = (1 - v) E_(Delta_i(lam)) at lam = eps_k, where Delta_i(eps_k)
+    is e^(eps_i), -e^(eps_i) or 0 as k = i, i + 1 or neither, reads
+      (a) T_i E_(i+1) - E_i T_i = (1 - v) E_i, i.e. T_i E_(i+1) T_i = v E_i
+          (the quadratic relation gives T_i^-1 = v^-1 (T_i + 1 - v));
+      (b) T_i E_i - E_(i+1) T_i = (v - 1) E_i;
+      (c) T_i E_k = E_k T_i for k not in {i, i + 1}.
+    Only (a) for i = 1..m-1 and (c) for k = 1, i = 2..m-1 are checked.
+    (b) follows from (a): E_(i+1) T_i = v T_i^-1 E_i and
+    T_i - v T_i^-1 = v - 1.  By (a), E_k = v^(k-1) X E_1 X' with
+    X = T_(k-1)^-1 ... T_1^-1 and X' = T_1^-1 ... T_(k-1)^-1.  If i > k,
+    T_i commutes with X, X' and E_1; if i < k - 1, the braid relations give
+    T_i X = X T_(i+1) and T_(i+1) X' = X' T_i, and T_(i+1) commutes with
+    E_1; either way T_i E_k = E_k T_i, which is the rest of (c).  Conjugation
+    by W does not carry E_k to any E_j (the lattice part of the Bernstein
+    presentation is not stable under it), so it cannot move (a) and (c)
+    from one node to the next.
+
+    All of Z^m.  Given e-multiplicativity, both sides of the Bernstein
+    relation vanish at 0 and obey the twisted Leibniz rule
+    D(lam + mu) = E_lam D(mu) + D(lam) E_(s_i mu), hence
+    D(-lam) = -E_(-lam) D(lam) E_(-s_i lam); for Delta_i the rule reads
+    e^(lam+mu) - e^(s_i(lam+mu)) = e^lam (e^mu - e^(s_i mu))
+    + (e^lam - e^(s_i lam)) e^(s_i mu).  So the units prove it on all of Z^m.
+
+    e-multiplicativity.  The translations act diagonally by line-bundle
+    tuples, so E_lam E_mu = E_(lam+mu) is the pointwise identity
+    L_(lam+mu) = L_lam L_mu.  ``springer.restrict_line_bundle`` gives the
+    entry at p_k the g- and s-exponents sum_j w_kj lam_j, linear in lam, so
+    lam -> L_lam is a group map by construction.  It is checked at lam = 0
+    and on the sums eps_a + eps_b (a <= b), which already pins down any
+    exponent formula of degree <= 2 in lam as linear, plus one composite
+    spot check through ``springer.k_act``."""
+    failures: list[str] = []
     units = [tuple(int(j == k) for j in range(m)) for k in range(m)]
-    e_unit = [_matrix(m, "e[" + ",".join(map(str, lam)) + "]") for lam in units]
-    for i in range(1, m):
-        for k, lam in enumerate(units):
-            c = (_ONE - _V) * (1 if k == i - 1 else -1 if k == i else 0)
-            lhs = _poly_mat_mul(t[i], e_unit[{i - 1: i, i: i - 1}.get(k, k)])
-            rhs = _poly_mat_mul(e_unit[k], t[i])
-            if lhs != [[y + c * z for y, z in zip(r, er)] for r, er in zip(rhs, e_unit[i - 1])]:
-                failures.append(f"bernstein T[{i}] lam={lam}")
-    # e^lam e^mu = e^(lam+mu): the translations act diagonally by line-bundle
-    # tuples, so multiplicativity is the pointwise monomial identity
-    # L_lam = prod_j L_(eps_j)^(lam_j), checked once per lam in the box ...
-    eps = [springer.restrict_line_bundle(m, lam).entries for lam in units]
-    for lam in _default_box(m):
-        l_lam = springer.restrict_line_bundle(m, lam).entries
-        if any(
-            l_lam[k] != reduce(mul, (e[k] ** lj for e, lj in zip(eps, lam) if lj), _ONE)
-            for k in range(m)
-        ):
+    if m >= 2:
+        t = {i: _matrix(m, f"T[{i}]") for i in range(1, m + 1)}
+        t1, t2 = t[1], t[2]
+        # quadratic: T_1^2 = (v - 1) T_1 + v
+        if _poly_mat_mul(t1, t1) != _add(_scalar_matrix(m, _V), t1, _V - _ONE):
+            failures.append("quadratic T[1]")
+        # braid (1, 2) for m >= 3 (m = 2 has none); commute (1, j), j = 3..m-1
+        if m >= 3 and _poly_mat_mul(_poly_mat_mul(t1, t2), t1) != _poly_mat_mul(_poly_mat_mul(t2, t1), t2):
+            failures.append("braid T[1],T[2]")
+        for j in range(3, m):
+            if _poly_mat_mul(t1, t[j]) != _poly_mat_mul(t[j], t1):
+                failures.append(f"commute T[1],T[{j}]")
+        # Bernstein at the units (see the docstring): (a), then (c) at eps_1
+        e = {k: _matrix(m, _unit_key(m, k)) for k in range(1, m + 1)}
+        for i in range(1, m):
+            rhs = _add(_poly_mat_mul(e[i], t[i]), e[i], _ONE - _V)
+            if _poly_mat_mul(t[i], e[i + 1]) != rhs:
+                failures.append(f"bernstein T[{i}] lam={units[i - 1]}")
+        for i in range(2, m):
+            if _poly_mat_mul(t[i], e[1]) != _poly_mat_mul(e[1], t[i]):
+                failures.append(f"bernstein T[{i}] lam={units[0]}")
+    # e^lam e^mu = e^(lam+mu), pointwise on line-bundle tuples ...
+    line = [springer.restrict_line_bundle(m, lam).entries for lam in units]
+    if any(x != _ONE for x in springer.restrict_line_bundle(m, (0,) * m).entries):
+        failures.append(f"e-multiplicativity lam={(0,) * m}")
+    for a, b in combinations_with_replacement(range(m), 2):
+        lam = tuple(x + y for x, y in zip(units[a], units[b]))
+        got = springer.restrict_line_bundle(m, lam).entries
+        if any(got[k] != line[a][k] * line[b][k] for k in range(m)):
             failures.append(f"e-multiplicativity lam={lam}")
     # ... with one composite spot check through the full action path
     eps1 = (1,) + (0,) * (m - 1)
@@ -296,7 +329,7 @@ def freeness_determinant(m: int) -> LaurentPoly:
 # -- the sheaf-function dictionary ---------------------------------------------
 
 
-def _ls_operator(m: int, i: int, convention: str, shriek: bool) -> PolyMatrix:
+def _ls_operator(m: int, i: int, convention: str, shriek: bool) -> SparseRows:
     """[L_{s_i}] = c (T[i] + d) and [L_{s_i,!}] = c T[i] under one twist
     convention (see the module docstring)."""
     if convention == "A":
@@ -305,8 +338,10 @@ def _ls_operator(m: int, i: int, convention: str, shriek: bool) -> PolyMatrix:
         c, d = -_S_INV, -_V
     else:
         raise ValueError(f"convention must be 'A' or 'B', got {convention!r}")
-    t, shift = _matrix(m, f"T[{i}]"), _scalar_matrix(m, _ZERO if shriek else d)
-    return [[(x + y) * c for x, y in zip(t_row, s_row)] for t_row, s_row in zip(t, shift)]
+    t = _matrix(m, f"T[{i}]")
+    if not shriek:
+        t = _add(t, _scalar_matrix(m, d))
+    return [{j: x * c for j, x in row.items()} for row in t]
 
 
 FORMULA_IDS = [

@@ -30,7 +30,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterator, NamedTuple
 
 from . import polyrep, springer, theta, weyl
@@ -152,12 +152,31 @@ def _random_weyl(m: int, rng: random.Random, bound: int = 2) -> weyl.AffineWeylE
     return weyl.AffineWeylElt(tuple(lam), tuple(perm))
 
 
+def _default_box(m: int) -> list[tuple[int, ...]]:
+    """Cocharacters with entries in {-1,0,1} supported on at most two
+    coordinates, plus the fundamental ones."""
+    box = {(0,) * m}
+    for i in range(m):
+        for v in (-1, 1):
+            lam = [0] * m
+            lam[i] = v
+            box.add(tuple(lam))
+    for i, j in combinations(range(m), 2):
+        for vi, vj in product((-1, 1), repeat=2):
+            lam = [0] * m
+            lam[i], lam[j] = vi, vj
+            box.add(tuple(lam))
+    for i in range(1, m):
+        box.add(tuple([1] * i + [0] * (m - i)))
+    return sorted(box)
+
+
 def _lambda_box(m: int) -> list[tuple[int, ...]]:
     """All cocharacters with entries in {-1, 0, 1} (m <= 4), else the sparse
     default box."""
     if m <= 4:
         return [lam for lam in product((-1, 0, 1), repeat=m)]
-    return theta._default_box(m)
+    return _default_box(m)
 
 
 # -- the BFS length oracle ---------------------------------------------------------
@@ -401,8 +420,26 @@ def _bernstein_random(c: _Ctx):
         i = rng.randint(1, m - 1)
         lam = tuple(rng.randint(-3, 3) for _ in range(m))
         if not _bernstein_holds(m, i, lam):
+            lam = _shrink(lam, lambda mu: not _bernstein_holds(m, i, mu))
             return f"random Bernstein failure i={i} lam={lam}"
     return True
+
+
+def _shrink(lam: tuple[int, ...], fails: Callable[[tuple[int, ...]], bool]) -> tuple[int, ...]:
+    """Move the entries of the counterexample lam one step toward 0 at a time,
+    greedily, while ``fails`` still holds, until no single entry can move."""
+    lam = list(lam)
+    moved = True
+    while moved:
+        moved = False
+        for j in range(len(lam)):
+            while lam[j]:
+                trial = lam[:]
+                trial[j] -= 1 if lam[j] > 0 else -1
+                if not fails(tuple(trial)):
+                    break
+                lam, moved = trial, True
+    return tuple(lam)
 
 
 def _hecke_center(c: _Ctx):

@@ -1,8 +1,10 @@
 """Bernstein-basis multiplication: relations, T_w expansion, inverses,
 the center, the group-algebra limit, and literals."""
 
+import ast
 import inspect
 import random
+import re
 import textwrap
 from itertools import permutations
 
@@ -164,6 +166,32 @@ def test_omega_conjugation():
         for i in range(1, m + 1):
             j = weyl.conjugate_simple(m, i, 1)
             assert w1 * HeckeElt.gen(m, i) * w1i == HeckeElt.gen(m, j)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_bernstein_random_reports_a_minimal_counterexample(monkeypatch, m):
+    # a planted expansion that drops its last term once <lam, alpha_i^vee> >= 2
+    # breaks the relation exactly there; the reported lam must be a draw shrunk
+    # until no entry can move one step toward 0, i.e. lam_i - lam_(i+1) = 2
+    # and every other entry 0
+    true_exponents = demazure_exponents
+
+    def dropped(lam, i):
+        out = true_exponents(lam, i)
+        return out[:-1] if lam[i - 1] - lam[i] >= 2 else out
+
+    monkeypatch.setattr(verify, "demazure_exponents", dropped)
+    check = verify.run_check("hecke", "bernstein-random", m)
+    assert check.status == "fail"
+    found = re.fullmatch(r"random Bernstein failure i=(\d+) lam=(\(.*\))", check.counterexample)
+    assert found, check.counterexample
+    i, lam = int(found.group(1)), ast.literal_eval(found.group(2))
+    assert not verify._bernstein_holds(m, i, lam)
+    for j, x in enumerate(lam):
+        if x:
+            step = lam[:j] + (x - (1 if x > 0 else -1),) + lam[j + 1 :]
+            assert verify._bernstein_holds(m, i, step), (lam, step)
+    assert lam[i - 1] - lam[i] == 2 and sum(map(abs, lam)) == 2, lam
 
 
 def _random_s_poly(rng):

@@ -5,8 +5,9 @@ import json
 import os
 
 import pytest
+from dense_relations import box_multiplicativity_failures, check_dense_relations, dense, dense_mat_mul
 
-from glhecke import polyrep, springer, theta
+from glhecke import polyrep, springer, theta, verify
 from glhecke.hecke import HeckeElt, parse_hecke
 from glhecke.laurent import GS_PROFILE, LaurentPoly, demazure_exponents, x_profile
 from glhecke.linalg import det_laurent
@@ -39,12 +40,11 @@ def test_tw1_matrix_is_cyclic_shift_with_wrap():
 
 def test_ts_matrices_on_ic0():
     for m in (2, 3, 4):
-        mats = theta.theta_action_matrices(m)
         ic0 = theta.ThetaVector.ic(m, 0)
         for i in range(1, m):
-            got = theta.mat_vec(mats[f"T[{i}]"], ic0)
+            got = theta.mat_vec(theta._matrix(m, f"T[{i}]"), ic0)
             assert got.coords == ic0.scale(gs(0, 2)).coords, (m, i)
-        got = theta.mat_vec(mats[f"T[{m}]"], ic0)
+        got = theta.mat_vec(theta._matrix(m, f"T[{m}]"), ic0)
         want = (
             theta.ThetaVector.ic(m, 0).scale(-1)
             + theta.ThetaVector.ic(m, 1).scale(gs(0, 1))
@@ -69,9 +69,28 @@ def test_defining_relations():
         assert theta.check_defining_relations(m) == []
 
 
+def test_sparse_matrices_hold_no_zeros():
+    for m in (1, 2, 3, 4):
+        for key in theta.generator_keys(m) + ["Tw[-1]", theta._unit_key(m, m)]:
+            rows = theta._matrix(m, key)
+            assert len(rows) == m
+            assert all(0 <= j < m and not x.is_zero() for row in rows for j, x in row.items()), key
+
+
+def test_sparse_product_matches_dense_product():
+    for m in (2, 3, 4, 5):
+        keys = theta.generator_keys(m) + ["Tw[-1]"]
+        for a in keys:
+            for b in keys:
+                got = theta._poly_mat_mul(theta._matrix(m, a), theta._matrix(m, b))
+                assert theta._dense(got) == dense_mat_mul(dense(m, a), dense(m, b)), (m, a, b)
+
+
 def _relation_words(m):
     """Every word of generator keys whose matrix product the relation checks
-    compare, innermost factor last."""
+    compare, innermost factor last: each relation at each node, as the dense
+    oracle checks them, and the Bernstein words at the units."""
+    e = {k: theta._unit_key(m, k) for k in range(1, m + 1)}
     words = [["Tw[1]", "Tw[-1]"]]
     for i in range(1, m + 1):
         words.append([f"T[{i}]", f"T[{i}]"])
@@ -81,6 +100,10 @@ def _relation_words(m):
             words.append([f"T[{j}]", f"T[{i}]", f"T[{j}]"])
             words.append([f"T[{i}]", f"T[{j}]"])
             words.append([f"T[{j}]", f"T[{i}]"])
+    for i in range(1, m):
+        for k in range(1, m + 1):
+            words.append([f"T[{i}]", e[k]])
+            words.append([e[k], f"T[{i}]"])
     return words
 
 
@@ -97,7 +120,7 @@ def test_relation_words_match_kact_chain():
                 chain = b
                 for key in reversed(word):
                     chain = springer.k_act(parse_hecke(m, key), chain)
-                col = tuple(prod[i][j] for i in range(m))
+                col = tuple(prod[i].get(j, LaurentPoly.zero(GS_PROFILE)) for i in range(m))
                 assert chain.coords == col, (m, word, j)
                 entries = tuple(
                     sum((c * bi.entries[k] for c, bi in zip(col, basis)), LaurentPoly.zero(GS_PROFILE))
@@ -106,25 +129,140 @@ def test_relation_words_match_kact_chain():
                 assert chain.entries == entries, (m, word, j)
 
 
-def test_planted_matrix_fault_fails_relations(monkeypatch):
-    from glhecke import verify
+def _plant(monkeypatch, m, key):
+    """Cache the sparse matrix of ``key`` with 1 added at (0, 0), and
+    nothing else; the other matrices are rebuilt on demand."""
+    bad = [dict(r) for r in theta._matrix(m, key)]
+    entry = bad[0].get(0, LaurentPoly.zero(GS_PROFILE)) + LaurentPoly.one(GS_PROFILE)
+    if entry.is_zero():
+        del bad[0][0]
+    else:
+        bad[0][0] = entry
+    monkeypatch.setattr(theta, "_matrix_cache", {(m, key): bad})
 
-    bad = [row[:] for row in theta._matrix(3, "T[1]")]
-    bad[0][0] = bad[0][0] + LaurentPoly.one(GS_PROFILE)
-    monkeypatch.setattr(theta, "_matrix_cache", {(3, "T[1]"): bad})
+
+# every planted fault below: (m, key); each one fails the relations
+PLANTED_FAULTS = [
+    (3, "T[1]"),
+    (4, "T[3]"),
+    (4, "T[4]"),
+    (2, "e[1,0]"),
+    (3, "e[1,0,0]"),
+    (4, "e[1,0,0,0]"),
+    (4, "e[0,0,1,0]"),
+    (4, "e[0,0,0,1]"),
+    (5, "e[0,0,0,1,0]"),
+    (4, "Tw[1]"),
+    (4, "Tw[-1]"),
+]
+
+
+def test_planted_matrix_fault_fails_relations(monkeypatch):
+    _plant(monkeypatch, 3, "T[1]")
     assert "quadratic T[1]" in theta.check_defining_relations(3)
     assert verify.run_check("theta", "cyclic-symmetry", 3).status == "fail"
+
+
+def test_planted_fault_off_node_one_fails_conjugation(monkeypatch):
+    # T[3] and T[4] at m = 4 reach the relations through conjugation: no
+    # quadratic or braid relation is checked there any more, and T[4] enters
+    # no other product at all
+    for key in ("T[3]", "T[4]"):
+        _plant(monkeypatch, 4, key)
+        fails = theta.check_defining_relations(4)
+        conjugation = [f for f in fails if f.startswith("conjugation Tw[1] T[")]
+        assert conjugation and (key == "T[3]" or conjugation == fails), (key, fails)
+        assert verify.run_check("main-theorem", "module-relations", 4).status == "fail"
 
 
 def test_planted_e_matrix_fault_fails_bernstein(monkeypatch):
     # the e-matrices that `theta --matrices` reports are checked, not only the T's
     for m in (2, 3, 4):
-        key = "e[" + ",".join(["1"] + ["0"] * (m - 1)) + "]"
-        bad = [row[:] for row in theta._matrix(m, key)]
-        bad[0][0] = bad[0][0] + LaurentPoly.one(GS_PROFILE)
-        monkeypatch.setattr(theta, "_matrix_cache", {(m, key): bad})
+        _plant(monkeypatch, m, "e[" + ",".join(["1"] + ["0"] * (m - 1)) + "]")
         fails = theta.check_defining_relations(m)
         assert any(f.startswith("bernstein T[") for f in fails), (m, fails)
+
+
+def test_planted_fault_in_a_later_unit_fails_bernstein(monkeypatch):
+    # E_k for k >= 3 enters only the relations (a) at i = k - 1 and i = k
+    for m, k in ((4, 3), (4, 4), (5, 4)):
+        _plant(monkeypatch, m, theta._unit_key(m, k))
+        fails = theta.check_defining_relations(m)
+        assert fails and all(f.startswith("bernstein T[") for f in fails), (m, k, fails)
+        assert {f.split()[1] for f in fails} <= {f"T[{k - 1}]", f"T[{k}]"}, fails
+        assert verify.run_check("main-theorem", "module-relations", m).status == "fail"
+
+
+def test_fault_carried_along_the_unit_chain_fails_bernstein(monkeypatch):
+    # E_k + N_k with N_1 = the unit at (0, 0) and N_(k+1) = v T_k^-1 N_k T_k^-1
+    # satisfies every relation (a) T_i E_(i+1) T_i = v E_i; only (c),
+    # T_i E_1 = E_1 T_i for i >= 2, sees it
+    one, v_inv = LaurentPoly.one(GS_PROFILE), gs(0, -2)
+    for m in (3, 4, 5):
+        units = [theta._unit_key(m, k) for k in range(1, m + 1)]
+        n = [{0: one}] + [{} for _ in range(m - 1)]
+        planted = {}
+        for k, key in enumerate(units, start=1):
+            planted[(m, key)] = theta._add(theta._matrix(m, key), n)
+            if k < m:
+                # v T_k^-1 = T_k + 1 - v
+                t = theta._add(theta._matrix(m, f"T[{k}]"), theta._scalar_matrix(m, one - gs(0, 2)))
+                tnt = theta._poly_mat_mul(theta._poly_mat_mul(t, n), t)
+                n = [{j: x * v_inv for j, x in row.items()} for row in tnt]
+        monkeypatch.setattr(theta, "_matrix_cache", planted)
+        fails = theta.check_defining_relations(m)
+        eps1 = (1,) + (0,) * (m - 1)
+        assert fails and all(f.endswith(f" lam={eps1}") and f.split()[1] != "T[1]" for f in fails), (m, fails)
+        assert check_dense_relations(m), m
+
+
+def test_dense_oracle_agrees_on_correct_matrices():
+    for m in range(1, 7):
+        assert check_dense_relations(m) == theta.check_defining_relations(m) == [], m
+
+
+@pytest.mark.parametrize("m, key", PLANTED_FAULTS)
+def test_dense_oracle_agrees_on_planted_faults(monkeypatch, m, key):
+    _plant(monkeypatch, m, key)
+    fails = theta.check_defining_relations(m)
+    assert fails and check_dense_relations(m), fails
+    # the O(m) check reports a subset of the relations the dense route breaks
+    assert set(fails) <= set(check_dense_relations(m)), fails
+
+
+def test_planted_line_bundle_fault_fails_e_multiplicativity(monkeypatch):
+    # a cross term lam_1 * lam_m in the g-exponent at p_1; the theorem basis
+    # uses only lam_m = 0, so the matrices stay as they are
+    true_restrict = springer.restrict_line_bundle
+
+    def bent(m, lam):
+        got = true_restrict(m, lam)
+        lam = tuple(lam)
+        bend = gs(lam[0] * lam[-1], 0)
+        return springer.KClass((got.entries[0] * bend,) + got.entries[1:])
+
+    for m in (2, 3, 4, 5):
+        theta.check_defining_relations(m)  # fill the matrix cache
+        monkeypatch.setattr(springer, "restrict_line_bundle", bent)
+        fails = theta.check_defining_relations(m)
+        want = "e-multiplicativity lam=" + str(tuple(int(j in (0, m - 1)) for j in range(m)))
+        assert want in fails, (m, fails)
+        assert box_multiplicativity_failures(m), m
+        monkeypatch.setattr(springer, "restrict_line_bundle", true_restrict)
+
+
+def test_conjugation_does_not_permute_the_e_matrices():
+    # W E_k W^-1 is not E_j for any j (nor is W^-1 E_k W): conjugation by the
+    # length-zero generator rotates the T's but not the Bernstein lattice, so
+    # check_defining_relations moves the unit Bernstein relations along the
+    # finite nodes with the T's instead (see its docstring)
+    for m in (2, 3, 4, 5):
+        w, winv = theta._matrix(m, "Tw[1]"), theta._matrix(m, "Tw[-1]")
+        e = [theta._matrix(m, theta._unit_key(m, k)) for k in range(1, m + 1)]
+        for ek in e:
+            for a, b in ((w, winv), (winv, w)):
+                conj = theta._poly_mat_mul(theta._poly_mat_mul(a, ek), b)
+                assert all(conj != ej for ej in e), m
 
 
 def test_bernstein_on_lifted_vectors():
@@ -139,7 +277,7 @@ def test_bernstein_on_lifted_vectors():
             for i in range(m)
         ]
         for i in range(1, m):
-            for lam in theta._default_box(m):
+            for lam in verify._default_box(m):
                 slam = list(lam)
                 slam[i - 1], slam[i] = slam[i], slam[i - 1]
                 for lift in lifts:
@@ -163,7 +301,8 @@ def test_freeness_from_coordinates():
         orbit = [springer.structure_sheaf(m)]
         for _ in range(m - 1):
             orbit.append(springer.k_act(HeckeElt.tw(m, 1), orbit[-1]))
-        assert [list(v.coords) for v in orbit] == theta._scalar_matrix(m, LaurentPoly.one(GS_PROFILE))
+        identity = theta._dense(theta._scalar_matrix(m, LaurentPoly.one(GS_PROFILE)))
+        assert [list(v.coords) for v in orbit] == identity
         fixed = [[orbit[j].entries[k] for j in range(m)] for k in range(m)]
         assert det_laurent(fixed) == theta.freeness_determinant(m), m
 
@@ -181,9 +320,7 @@ def test_central_characters_through_matrices():
             zel = zel + HeckeElt.e(mu)
         mat = theta._matrix_of(m, zel)
         scal = springer.res_sigma(orbit_sum(lam), m)
-        for a in range(m):
-            for b in range(m):
-                assert mat[a][b] == (scal if a == b else LaurentPoly.zero(GS_PROFILE))
+        assert mat == theta._scalar_matrix(m, scal)
 
 
 def test_matrix_of_is_multiplicative():

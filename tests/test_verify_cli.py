@@ -232,6 +232,16 @@ def test_cli_theta_matrices():
     assert payload["matrices"]["Tw[1]"] == [["0", "g^-1"], ["1", "0"]]
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cli_theta_matrices_golden(m, tmp_path):
+    # the goldens are `glhecke theta --m M --matrices --json` output; they pin
+    # the dense rendering of the sparse cached matrices, zeros included
+    out = tmp_path / "matrices.json"
+    assert main(["theta", "--m", str(m), "--matrices", "--json", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"theta_matrices_m{m}.json")) as fh:
+        assert out.read_text() == fh.read()
+
+
 def test_cli_orbits():
     proc = run_cli("orbits", "--n", "1", "--m", "2", "--bounds", "0,1", "--count-only")
     assert proc.stdout.strip() == "4"
