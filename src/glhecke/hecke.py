@@ -20,6 +20,15 @@ their Bernstein expansions:
 
 the second because T_{w_1}^m = e^{-(1,..,1)} is central.
 
+``t_element`` builds T_w along w = w_1^k s_{i1} ... s_{il} from the left:
+a finite letter is ``right_mul_gen``, and the affine letter uses
+
+    (c e^lam T_u) T_{s_m} = c e^lam (T_u T_{s_m}),
+
+reading T_u T_{s_m} from a table keyed by u in S_m (at most m! entries per
+rank, each built once by the product), so the step only shifts exponents by
+lam and multiplies coefficients, in the same accumulation as the product.
+
 Literals ``(s^2 - 1)*e[1,0]*T[1] + Tw[-2]`` are read by ``parse_hecke`` on
 the shared ``laurent.TokenCursor``; coefficients use its polynomial rule.
 
@@ -28,6 +37,9 @@ algebra of the extended affine Weyl group (tested).
 """
 
 from __future__ import annotations
+
+from operator import add
+from typing import Iterable
 
 from . import weyl
 from .laurent import S_PROFILE, LaurentPoly, TokenCursor, check_terms, demazure_exponents
@@ -181,8 +193,11 @@ class HeckeElt:
             swl[a], swl[b] = swl[b], swl[a]
             swl = tuple(swl)
             # T_i T_w: ascent iff value a sits left of value b in w
-            sw = tuple(b if x == a else a if x == b else x for x in w)
-            if w.index(a) < w.index(b):
+            ia, ib = w.index(a), w.index(b)
+            sw = list(w)
+            sw[ia], sw[ib] = b, a
+            sw = tuple(sw)
+            if ia < ib:
                 bump(swl, sw, c)
             else:
                 bump(swl, w, V_MINUS_1 * c)
@@ -223,23 +238,10 @@ class HeckeElt:
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if self.m != other.m:
             raise ValueError("rank mismatch")
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-        for (lam1, w1), c1 in self.terms.items():
-            x = other
-            for i in reversed(perm_word(w1)):
-                x = x.left_mul_gen(i)
-            trivial = all(v == 0 for v in lam1)
-            for (lam2, w2), c2 in x.terms.items():
-                key = (lam2 if trivial else tuple(p + q for p, q in zip(lam1, lam2)), w2)
-                c3 = c1 * c2
-                prev = out.get(key)
-                c3 = c3 if prev is None else prev + c3
-                if c3.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c3
-        check_terms(len(out))
-        return HeckeElt(self.m, out)
+        return _shifted_sum(
+            self.m,
+            ((lam1, c1, _left_mul_perm(w1, other)) for (lam1, w1), c1 in self.terms.items()),
+        )
 
     # -- specialization ----------------------------------------------------
 
@@ -284,10 +286,40 @@ class HeckeElt:
         return f"HeckeElt({self!s})"
 
 
+def _left_mul_perm(w: tuple[int, ...], x: HeckeElt) -> HeckeElt:
+    """T_w * x, one ``left_mul_gen`` per letter of the reduced word of w."""
+    for i in reversed(perm_word(w)):
+        x = x.left_mul_gen(i)
+    return x
+
+
+def _shifted_sum(
+    m: int, parts: Iterable[tuple[tuple[int, ...], LaurentPoly, HeckeElt]]
+) -> HeckeElt:
+    """sum c * e^lam * x over the (lam, c, x) in parts: e^lam moves every
+    exponent of x by lam, and c multiplies its coefficients."""
+    out: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
+    for lam1, c1, x in parts:
+        trivial = not any(lam1)
+        for (lam2, w2), c2 in x.terms.items():
+            key = (lam2 if trivial else tuple(map(add, lam1, lam2)), w2)
+            c3 = c1 * c2
+            prev = out.get(key)
+            c3 = c3 if prev is None else prev + c3
+            if c3.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = c3
+    check_terms(len(out))
+    return HeckeElt(m, out)
+
+
 # -- Omega generators and the affine node ---------------------------------
 
 _tw_cache: dict[tuple[int, int], HeckeElt] = {}
 _affine_cache: dict[int, HeckeElt] = {}
+# T_u T_{s_m} keyed by u in S_m; the rank is len(u), so at most m! entries per rank
+_affine_table: dict[tuple[int, ...], HeckeElt] = {}
 
 
 def _tw_one(m: int) -> HeckeElt:
@@ -323,15 +355,26 @@ def _affine_gen(m: int) -> HeckeElt:
     return res
 
 
+def _affine_right(u: tuple[int, ...]) -> HeckeElt:
+    """T_u T_{s_m} for u in S_m, built once by the product and kept."""
+    got = _affine_table.get(u)
+    if got is None:
+        m = len(u)
+        got = _affine_table[u] = HeckeElt.basis(m, (0,) * m, u) * _affine_gen(m)
+    return got
+
+
 def t_element(w: weyl.AffineWeylElt) -> HeckeElt:
     """T_w expanded in the Bernstein basis, via w = w1^k s_{i1}...s_{il}."""
+    m = w.m
     k, word = weyl.reduced_word(w)
-    res = _tw_power(w.m, k)
+    res = _tw_power(m, k)
     for i in word:
-        if i < w.m:
+        if i < m:
             res = res.right_mul_gen(i)
         else:
-            res = res * _affine_gen(w.m)
+            # (c e^lam T_u) T_{s_m} = c e^lam (T_u T_{s_m}), read from the table
+            res = _shifted_sum(m, ((lam, c, _affine_right(u)) for (lam, u), c in res.terms.items()))
     return res
 
 

@@ -207,6 +207,18 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a factor equal to the constant 1 gives the other one, which is
+            # still held to the cap; with one term each, either may be the 1
+            ((ka, ca),) = a.items()
+            if ca == 1 and not any(ka):
+                check_terms(len(b))
+                return other if a is self.terms else self
+            if len(b) == 1:
+                ((kb, cb),) = b.items()
+                if cb == 1 and not any(kb):
+                    check_terms(1)
+                    return self if a is self.terms else other
         if len(self.profile) == 1:
             # Z[s^-1, s]: one exponent per key, added without the generic zip
             if len(a) == 1:
@@ -288,7 +300,8 @@ class LaurentPoly:
         Integer arithmetic throughout: a variable assigned 1 is skipped, and
         one assigned p/q contributes p^(e-lo) q^(hi-e) to a term with
         exponent e, where [lo, hi] spans its exponents and 0; the integer sum
-        becomes one Fraction over the common denominator at the end."""
+        becomes one Fraction over the common denominator at the end.  When
+        every assigned value is 1 the value is just the coefficient sum."""
         spans: list[tuple[int, int, int, int, int]] = []  # (index, p, q, lo, hi)
         unassigned: list[int] = []
         den = 1
@@ -296,17 +309,21 @@ class LaurentPoly:
             if name not in assignments:
                 unassigned.append(idx)
                 continue
-            val = Fraction(assignments[name])
+            val = assignments[name]
+            if val == 1:
+                continue
+            val = Fraction(val)
             if val == 0:
                 raise ValueError(f"variable {name} assigned zero")
-            if val != 1:
-                exps = [0, *(key[idx] for key in self.terms)]
-                lo, hi = min(exps), max(exps)
-                p, q = val.numerator, val.denominator
-                spans.append((idx, p, q, lo, hi))
-                den *= p**-lo * q**hi
-        if any(key[idx] for key in self.terms for idx in unassigned):
+            exps = [0, *(key[idx] for key in self.terms)]
+            lo, hi = min(exps), max(exps)
+            p, q = val.numerator, val.denominator
+            spans.append((idx, p, q, lo, hi))
+            den *= p**-lo * q**hi
+        if unassigned and any(key[idx] for key in self.terms for idx in unassigned):
             raise ValueError("unassigned variable with nonzero exponent")
+        if not spans:
+            return Fraction(sum(self.terms.values()))
         total = 0
         for key, c in self.terms.items():
             for idx, p, q, lo, hi in spans:

@@ -158,8 +158,16 @@ def generator_keys(m: int) -> list[str]:
     return keys
 
 
+_theorem_basis_cache: dict[int, tuple[springer.KClass, ...]] = {}
+
+
 def _matrix_of(m: int, h: HeckeElt) -> SparseRows:
-    cols = [springer.k_act(h, b).coords for b in springer.theorem_basis(m)]
+    """The matrix of h: column i holds the coordinates of h acting on B_i,
+    which ``k_act`` reads off B_i's unit coordinate vector."""
+    basis = _theorem_basis_cache.get(m)
+    if basis is None:
+        basis = _theorem_basis_cache[m] = tuple(springer.theorem_basis(m))
+    cols = [springer.k_act(h, b).coords for b in basis]
     return [{j: col[i] for j, col in enumerate(cols) if not col[i].is_zero()} for i in range(m)]
 
 

@@ -548,14 +548,33 @@ def _associativity(c: _Ctx):
     return True
 
 
+def _specializes(w1: weyl.AffineWeylElt, w2: weyl.AffineWeylElt) -> bool:
+    """T_w1 T_w2 collapses to the group element w1 w2 at s = 1."""
+    return (t_element(w1) * t_element(w2)).at_s_one() == {w1 * w2: 1}
+
+
 def _specialization(c: _Ctx):
     rng = c.rng("specialization")
     for _ in range(c.cases):
         w1 = _random_weyl(c.m, rng, bound=1)
         w2 = _random_weyl(c.m, rng, bound=1)
-        if (t_element(w1) * t_element(w2)).at_s_one() != {w1 * w2: 1}:
+        if not _specializes(w1, w2):
+            w1, w2 = _shrink_pair(w1, w2)
             return f"s->1 group algebra failure at {w1} * {w2}"
     return True
+
+
+def _shrink_pair(
+    w1: weyl.AffineWeylElt, w2: weyl.AffineWeylElt
+) -> tuple[weyl.AffineWeylElt, weyl.AffineWeylElt]:
+    """``_shrink`` the translations of a failing pair as one vector of 2m
+    entries, keeping both permutations."""
+    m = w1.m
+
+    def pair(lam: tuple[int, ...]) -> tuple[weyl.AffineWeylElt, weyl.AffineWeylElt]:
+        return weyl.AffineWeylElt(lam[:m], w1.perm), weyl.AffineWeylElt(lam[m:], w2.perm)
+
+    return pair(_shrink(w1.trans + w2.trans, lambda lam: not _specializes(*pair(lam))))
 
 
 def _t_inverses(c: _Ctx):

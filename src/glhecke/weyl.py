@@ -74,11 +74,13 @@ class AffineWeylElt(NamedTuple):
         t2, p2 = other
         if len(t1) != len(t2):
             raise ValueError("rank mismatch")
-        # lam1 + w1(lam2): (w1 . lam2)[w1[i]] = lam2[i]
-        out = list(t1)
-        for i, v in zip(p1, t2):
-            out[i] += v
-        return AffineWeylElt(tuple(out), tuple(map(p1.__getitem__, p2)))
+        # lam1 + w1(lam2): (w1 . lam2)[w1[i]] = lam2[i], and lam1 when lam2 = 0
+        if any(t2):
+            out = list(t1)
+            for i, v in zip(p1, t2):
+                out[i] += v
+            t1 = tuple(out)
+        return AffineWeylElt(t1, tuple(map(p1.__getitem__, p2)))
 
     def __add__(self, other):
         raise TypeError("AffineWeylElt has no addition; * is the group product")

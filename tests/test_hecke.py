@@ -7,6 +7,7 @@ import random
 import re
 import textwrap
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,17 @@ from glhecke.hecke import (
     t_inverse,
 )
 from glhecke.laurent import S_PROFILE, LaurentPoly, TermBudgetError, demazure_exponents
+
+
+@pytest.fixture
+def fresh_hecke_caches(monkeypatch):
+    """Empty every module-level cache of ``hecke`` for one test and restore
+    it after: the T_w1 powers, the affine generators and the affine table
+    hold products, so a mutant product must not leave entries there for
+    later tests.  Caches are found by type, so a new one is covered too."""
+    for name, value in list(vars(hecke).items()):
+        if name.startswith("_") and not name.startswith("__") and isinstance(value, dict):
+            monkeypatch.setattr(hecke, name, {})
 
 
 def s_pow(k):
@@ -117,6 +129,30 @@ def test_t_element_random_consistency():
         assert (t_element(w) * t_element(u)).at_s_one() == {w * u: 1}
 
 
+def t_element_by_products(w):
+    """The earlier t_element, kept as the oracle for the affine table: each
+    affine letter is a full product with the Bernstein form of T_{s_m}."""
+    k, word = weyl.reduced_word(w)
+    res = HeckeElt.tw(w.m, k)
+    for i in word:
+        res = res.right_mul_gen(i) if i < w.m else res * hecke._affine_gen(w.m)
+    return res
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_affine_table_matches_full_products(fresh_hecke_caches, m):
+    rng = random.Random(f"affine-table:{m}")
+    for _ in range(60):
+        w = weyl.AffineWeylElt(
+            tuple(rng.randint(-1, 1) for _ in range(m)), tuple(rng.sample(range(m), m))
+        )
+        assert t_element(w) == t_element_by_products(w), w
+    # one entry T_u T_{s_m} per finite permutation u, and nothing else
+    table = hecke._affine_table
+    assert table and all(sorted(u) == list(range(m)) for u in table)
+    assert len(table) <= factorial(m)
+
+
 def test_t_inverse():
     for m in (2, 3):
         for i in range(1, m + 1):
@@ -194,6 +230,34 @@ def test_bernstein_random_reports_a_minimal_counterexample(monkeypatch, m):
     assert lam[i - 1] - lam[i] == 2 and sum(map(abs, lam)) == 2, lam
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_specialization_reports_a_minimal_counterexample(monkeypatch, m):
+    # a planted t_element that doubles T_w whenever the translation of w has
+    # a positive entry breaks the s -> 1 collapse exactly there; the reported
+    # pair must fail, and moving any one translation entry of it one step
+    # toward 0 must pass
+    true_t_element = t_element
+
+    def doubled(w):
+        return true_t_element(w).scale(2 if max(w.trans) > 0 else 1)
+
+    monkeypatch.setattr(verify, "t_element", doubled)
+    check = verify.run_check("hecke", "specialization-s1", m)
+    assert check.status == "fail"
+    atom = r"(t\[[-\d,]*\]\*p\[[\d,]*\])"
+    found = re.fullmatch(rf"s->1 group algebra failure at {atom} \* {atom}", check.counterexample)
+    assert found, check.counterexample
+    w1, w2 = (weyl.parse_weyl(m, found.group(k)) for k in (1, 2))
+    assert not verify._specializes(w1, w2)
+    lam = w1.trans + w2.trans
+    for j, x in enumerate(lam):
+        if x:
+            step = lam[:j] + (x - (1 if x > 0 else -1),) + lam[j + 1 :]
+            moved = weyl.AffineWeylElt(step[:m], w1.perm), weyl.AffineWeylElt(step[m:], w2.perm)
+            assert verify._specializes(*moved), (w1, w2, step)
+    assert sorted(lam) == [0] * (2 * m - 1) + [1], lam
+
+
 def _random_s_poly(rng):
     items = []
     for _ in range(rng.randint(1, 2)):
@@ -250,11 +314,7 @@ LEFT_ACTION_FAULTS = {
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_planted_left_action_fault_fails_associativity(monkeypatch, m):
-    # the cached T_w1 powers and affine generators are products; a mutant
-    # must not leave entries there for later tests
-    monkeypatch.setattr(hecke, "_tw_cache", {})
-    monkeypatch.setattr(hecke, "_affine_cache", {})
+def test_planted_left_action_fault_fails_associativity(monkeypatch, fresh_hecke_caches, m):
     for name, edits in LEFT_ACTION_FAULTS.items():
         monkeypatch.setattr(HeckeElt, "left_mul_gen", _left_mul_gen_mutant(*edits))
         check = verify.run_check("hecke", "associativity", m)

@@ -137,6 +137,13 @@ def test_ring_axioms_property(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([S_PROFILE, X2]).flatmap(polys))
+def test_unit_factor_returns_the_other_property(p):
+    one = LaurentPoly.one(p.profile)
+    assert one * p == p * one == p
+
+
 @st.composite
 def s_pairs(draw):
     """Two S_PROFILE polynomials; the second is often a monomial, the negation
@@ -362,6 +369,10 @@ X_PAIR = [(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)]
                      id="mul-one-variable-single-term"),
         pytest.param(S_PROFILE, [(0,), (1,)], [(0,), (2,)], operator.mul, id="mul-one-variable"),
         pytest.param(X2, *X_PAIR, operator.mul, id="mul-generic"),
+        pytest.param(S_PROFILE, [(0,)], [(0,), (1,), (2,), (-3,)], operator.mul,
+                     id="mul-by-one-one-variable"),
+        pytest.param(X2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], [(0, 0, 0)], operator.mul,
+                     id="mul-by-one"),
         pytest.param(X2, *X_PAIR, operator.add, id="add"),
         pytest.param(X2, *X_PAIR, operator.sub, id="sub"),
     ],

@@ -34,19 +34,30 @@ def test_group_axioms():
         assert a * weyl.identity(m) == a
 
 
+def elts_of_rank(m, translated=st.just(True)):
+    """Elements of rank m; with ``translated`` drawing False, a pure
+    permutation, which the product takes a shortcut for."""
+    lams = st.tuples(*[st.integers(-3, 3) for _ in range(m)])
+    return st.builds(
+        weyl.AffineWeylElt,
+        translated.flatmap(lambda t: lams if t else st.just((0,) * m)),
+        st.permutations(range(m)).map(tuple),
+    )
+
+
 @st.composite
 def weyl_pairs(draw):
+    """Two elements of one rank; the right one has no translation half the time."""
     m = draw(st.integers(1, 5))
-    lams = st.tuples(*[st.integers(-3, 3) for _ in range(m)])
-    perms = st.permutations(range(m)).map(tuple)
-    return tuple(weyl.AffineWeylElt(draw(lams), draw(perms)) for _ in range(2))
+    return draw(elts_of_rank(m)), draw(elts_of_rank(m, st.booleans()))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(weyl_pairs())
 def test_semidirect_product_law(pair):
     # (lam1, w1)(lam2, w2) = (lam1 + w1(lam2), w1 w2), with w acting on
-    # vectors by (w . lam)[w[i]] = lam[i] and (w1 w2)[i] = w1[w2[i]]
+    # vectors by (w . lam)[w[i]] = lam[i] and (w1 w2)[i] = w1[w2[i]],
+    # for right factors with and without translation
     a, b = pair
     m = len(a.trans)
     moved = [None] * m
@@ -55,6 +66,17 @@ def test_semidirect_product_law(pair):
     want_trans = tuple(a.trans[j] + moved[j] for j in range(m))
     want_perm = tuple(a.perm[b.perm[i]] for i in range(m))
     assert a * b == weyl.AffineWeylElt(want_trans, want_perm)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_product_rejects_rank_mismatch_property(data):
+    # with or without a translation on the right, the ranks must agree
+    m1, m2 = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    a = data.draw(elts_of_rank(m1))
+    b = data.draw(elts_of_rank(m2, st.booleans()))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        a * b
 
 
 def test_one_element_four_ways():
