@@ -42,7 +42,7 @@ from operator import add
 from typing import Iterable
 
 from . import weyl
-from .laurent import S_PROFILE, LaurentPoly, TokenCursor, check_terms, demazure_exponents
+from .laurent import S_PROFILE, LaurentPoly, TokenCursor, check_terms, demazure_range
 
 __all__ = ["HeckeElt", "t_element", "t_inverse", "parse_hecke", "V", "ONE_S"]
 
@@ -202,13 +202,14 @@ class HeckeElt:
             else:
                 bump(swl, w, V_MINUS_1 * c)
                 bump(swl, sw, V * c)
-            # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; all signs of
-            # one expansion agree, so the sign goes into the (1 - v) factor
-            exps = demazure_exponents(swl, i)
-            if exps:
-                cdq = (ONE_MINUS_V if exps[0][1] > 0 else V_MINUS_1) * c
-                for mu, _ in exps:
-                    bump(mu, w, cdq)
+            # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; the sign
+            # of the telescoping sum goes into the (1 - v) factor
+            sign, js = demazure_range(swl[a] - swl[b])
+            if js:
+                cdq = (ONE_MINUS_V if sign > 0 else V_MINUS_1) * c
+                head, x, y, tail = swl[:a], swl[a], swl[b], swl[b + 1 :]
+                for j in js:
+                    bump((*head, x - j, y + j, *tail), w, cdq)
         check_terms(len(out))
         return HeckeElt(m, out)
 

@@ -15,12 +15,15 @@ The three profiles used downstream:
 >>> x_profile(2)
 ('x1', 'x2', 's')
 
-Besides ring arithmetic this module provides the telescoping quotient
+Besides ring arithmetic this module provides ``monomial_map``, the ring map
+sending each variable to a monomial, and the telescoping quotient
 ``(e^lam - e^{s_i(lam)}) / (1 - e^{-alpha_i})`` (always an exact Laurent
-polynomial, computed as a closed-form sum rather than by trial division),
-symmetric-group orbit sums, exact rational specialization, a round-trip
-text grammar like ``3*s^-2*x1^2 - x2``, and ``TokenCursor``, the one literal
-reader that the Hecke and Weyl grammars build on.
+polynomial, computed as a closed-form sum rather than by trial division):
+``demazure_range`` is its one rule, on which ``demazure_exponents``, the
+Bernstein relation of ``hecke`` and the ``T_i`` action of ``polyrep`` are
+built.  Further: symmetric-group orbit sums, exact rational specialization,
+a round-trip text grammar like ``3*s^-2*x1^2 - x2``, and ``TokenCursor``,
+the one literal reader that the Hecke and Weyl grammars build on.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "check_terms",
     "TokenCursor",
     "parse_poly",
+    "demazure_range",
     "demazure_exponents",
     "demazure_quotient",
     "orbit_sum",
@@ -236,18 +241,12 @@ class LaurentPoly:
                             del out[key]
         elif len(a) == 1:
             ((ka, ca),) = a.items()
-            if all(e == 0 for e in ka):
-                out = {kb: ca * cb for kb, cb in b.items()}
-            else:
-                out = {
-                    tuple(x + y for x, y in zip(ka, kb)): ca * cb
-                    for kb, cb in b.items()
-                }
+            out = {tuple(map(add, ka, kb)): ca * cb for kb, cb in b.items()}
         else:
             out = {}
             for ka, ca in a.items():
                 for kb, cb in b.items():
-                    key = tuple(x + y for x, y in zip(ka, kb))
+                    key = tuple(map(add, ka, kb))
                     c2 = out.get(key, 0) + ca * cb
                     if c2:
                         out[key] = c2
@@ -290,7 +289,7 @@ class LaurentPoly:
             self._hash = hash((self.profile, tuple(self.sorted_terms())))
         return self._hash
 
-    # -- evaluation and substitution -------------------------------------
+    # -- evaluation and monomial maps -------------------------------------
 
     def specialize(self, assignments: Mapping[str, Fraction | int]) -> Fraction:
         """Exact rational evaluation.  Every occurring variable must get a
@@ -332,32 +331,29 @@ class LaurentPoly:
             total += c
         return Fraction(total, den)
 
-    def subst(
-        self, target: tuple[str, ...], images: Mapping[str, "LaurentPoly"]
+    def monomial_map(
+        self, target: tuple[str, ...], images: Sequence[Sequence[int]]
     ) -> "LaurentPoly":
-        """Substitute each variable by a polynomial over ``target``.
-
-        Variables hit with negative exponents must map to invertible
-        monomials.  Variables absent from ``images`` must exist in ``target``
-        and map to themselves.
-        """
-        imgs: list[LaurentPoly] = []
-        for name in self.profile:
-            if name in images:
-                img = images[name]
-                if img.profile != target:
-                    raise ProfileMismatchError("image profile differs from target")
-                imgs.append(img)
-            else:
-                imgs.append(LaurentPoly.variable(target, name))
-        out = LaurentPoly.zero(target)
+        """The ring map sending variable j to the monomial over ``target``
+        with exponent vector ``images[j]``; terms sent to one key are summed.
+        Other than one image per variable, each of ``len(target)`` entries,
+        raises ``ProfileMismatchError``."""
+        if len(images) != len(self.profile) or any(len(img) != len(target) for img in images):
+            raise ProfileMismatchError(f"images {images} do not map {self.profile} to {target}")
+        zero = (0,) * len(target)
+        terms: dict[tuple[int, ...], int] = {}
         for key, c in self.terms.items():
-            acc = LaurentPoly.const(target, c)
-            for e, img in zip(key, imgs):
+            out = zero
+            for e, img in zip(key, images):
                 if e:
-                    acc = acc * img**e
-            out = out + acc
-        return out
+                    out = tuple(x + e * y for x, y in zip(out, img))
+            c2 = terms.get(out, 0) + c
+            if c2:
+                terms[out] = c2
+            else:
+                del terms[out]
+        check_terms(len(terms))
+        return LaurentPoly(target, terms)
 
     # -- exact division ---------------------------------------------------
 
@@ -562,46 +558,36 @@ def parse_poly(profile: tuple[str, ...], text: str) -> LaurentPoly:
 # -- Demazure quotient and orbit sums -----------------------------------------
 
 
-def demazure_exponents(lam: Sequence[int], i: int) -> list[tuple[tuple[int, ...], int]]:
-    """Telescoping expansion of (e^lam - e^{s_i(lam)}) / (1 - e^{-alpha_i}).
+def demazure_range(k: int) -> tuple[int, range]:
+    """The telescoping rule: with alpha = alpha_i and k = lam_i - lam_{i+1},
 
-    Returns (exponent vector, sign) pairs; alpha_i = eps_i - eps_{i+1} and
-    1 <= i <= len(lam)-1.  Exactness is by construction: the quotient equals
-      sum_{j=0}^{k-1} e^{lam - j*alpha}          if k = <lam, alpha_i^vee> > 0,
-      0                                           if k = 0,
-      -sum_{j=1}^{-k} e^{lam + j*alpha}           if k < 0.
-    """
+      (e^lam - e^{s_i lam}) / (1 - e^{-alpha}) = sign * sum_{j in js} e^{lam - j*alpha}
+
+    for (sign, js) = (1, range(k)) if k >= 0 and (-1, range(k, 0)) if k < 0.
+    The |k| terms are held to the term cap before anything is built."""
+    check_terms(abs(k))
+    return (1, range(k)) if k >= 0 else (-1, range(k, 0))
+
+
+def demazure_exponents(lam: Sequence[int], i: int) -> list[tuple[tuple[int, ...], int]]:
+    """Telescoping expansion of (e^lam - e^{s_i(lam)}) / (1 - e^{-alpha_i})
+    by ``demazure_range``, as (exponent vector, sign) pairs, lam - j*alpha_i
+    ordered by |j|; alpha_i = eps_i - eps_{i+1} and 1 <= i <= len(lam)-1."""
     m = len(lam)
     if not 1 <= i <= m - 1:
         raise ValueError(f"simple-coroot index {i} out of range for m={m}")
-    k = lam[i - 1] - lam[i]
-    check_terms(abs(k))  # the expansion has |k| terms; refuse it before building it
-    out: list[tuple[tuple[int, ...], int]] = []
-    lam = tuple(lam)
-    if k > 0:
-        for j in range(k):
-            mu = list(lam)
-            mu[i - 1] -= j
-            mu[i] += j
-            out.append((tuple(mu), 1))
-    elif k < 0:
-        for j in range(1, -k + 1):
-            mu = list(lam)
-            mu[i - 1] += j
-            mu[i] -= j
-            out.append((tuple(mu), -1))
-    return out
+    sign, js = demazure_range(lam[i - 1] - lam[i])
+    head, tail = lam[: i - 1], lam[i + 1 :]
+    return [
+        ((*head, lam[i - 1] - j, lam[i] + j, *tail), sign)
+        for j in (js if sign > 0 else reversed(js))
+    ]
 
 
 def demazure_quotient(lam: Sequence[int], i: int) -> LaurentPoly:
     """(e^lam - e^{s_i(lam)}) / (1 - e^{-alpha_i}) as an x-profile polynomial."""
-    profile = x_profile(len(lam))
     return LaurentPoly.from_terms(
-        profile,
-        (
-            (tuple(mu) + (0,), sign)
-            for mu, sign in demazure_exponents(lam, i)
-        ),
+        x_profile(len(lam)), (((*mu, 0), sign) for mu, sign in demazure_exponents(lam, i))
     )
 
 

@@ -9,17 +9,22 @@ Generator actions:
     T_{s_i} * e^lam = (e^lam - e^{s_i lam})/(e^alpha - 1)
                       - s^2 (e^lam - e^{s_i lam + alpha})/(e^alpha - 1)
 
-``act_T`` writes both quotients out as telescoping sums inline, for speed,
-rather than calling ``laurent.demazure_exponents`` per term; every division
-is exact by construction, and the multiply-back test
-``test_divisions_are_exact`` is its oracle.  Composite
-Hecke elements act through their Bernstein-basis expansion.
+With k = <lam, alpha_i^vee>, e^alpha - 1 = e^alpha (1 - e^{-alpha}) and
+s_i lam + alpha = lam - (k - 1) alpha, so ``act_T`` reads both quotients off
+the one telescoping rule ``laurent.demazure_range``: the first with k and
+coefficient +c, the second with k - 1, coefficient -c and s-shift +2, each
+term j placed at lam - (j + 1) alpha.  Every division is exact by
+construction, and the multiply-back test ``test_divisions_are_exact`` is its
+oracle.  Each quotient is held to the term cap before it is built, so one
+quotient over the cap is refused even when its terms would later cancel
+against the other's.  Composite Hecke elements act through their
+Bernstein-basis expansion.
 """
 
 from __future__ import annotations
 
 from .hecke import ONE_S, HeckeElt, perm_word, t_element
-from .laurent import LaurentPoly, ProfileMismatchError, check_terms, x_profile
+from .laurent import LaurentPoly, ProfileMismatchError, check_terms, demazure_range, x_profile
 from . import weyl
 
 __all__ = ["one_vector", "act", "act_T", "act_e", "t_sm_on_one"]
@@ -30,17 +35,11 @@ def one_vector(m: int) -> LaurentPoly:
 
 
 def act_e(lam, u: LaurentPoly, m: int) -> LaurentPoly:
-    """e^lam * u = e^{-lam} u; only the m x-slots of a key move.  A
+    """e^lam * u = e^{-lam} u, the product with the monomial x^{-lam}.  A
     cocharacter with other than m entries raises ``ValueError``."""
     if len(lam) != m:
         raise ValueError(f"cocharacter {tuple(lam)} has {len(lam)} entries, expected m={m}")
-    out = {}
-    for key, c in u.terms.items():
-        nk = list(key)
-        for j in range(m):
-            nk[j] -= lam[j]
-        out[tuple(nk)] = c
-    return LaurentPoly(u.profile, out)
+    return u * LaurentPoly.monomial(u.profile, (*(-e for e in lam), 0))
 
 
 def act_T(i: int, u: LaurentPoly, m: int) -> LaurentPoly:
@@ -49,48 +48,27 @@ def act_T(i: int, u: LaurentPoly, m: int) -> LaurentPoly:
         raise ValueError(f"index {i} is not a finite reflection for m={m}")
     ia, ib = i - 1, i
     out: dict[tuple[int, ...], int] = {}
-
-    def bump(key, c):
-        c2 = out.get(key, 0) + c
-        if c2:
-            out[key] = c2
-        else:
-            del out[key]
-
-    def alpha_shift(key, j):
-        nk = list(key)
-        nk[ia] -= j
-        nk[ib] += j
-        return nk
-
     for key, c in u.terms.items():
-        k = key[ia] - key[ib]
-        # first quotient: k > 0: +sum_{j=1..k}; k < 0: -sum_{j=0..|k|-1} at +j
-        if k > 0:
-            for j in range(1, k + 1):
-                bump(tuple(alpha_shift(key, j)), c)
-        elif k < 0:
-            for j in range(0, -k):
-                bump(tuple(alpha_shift(key, -j)), -c)
-        # second quotient with k' = k - 1, times -s^2
-        k2 = k - 1
-        if k2 > 0:
-            for j in range(1, k2 + 1):
-                nk = alpha_shift(key, j)
-                nk[m] += 2
-                bump(tuple(nk), -c)
-        elif k2 < 0:
-            for j in range(0, -k2):
-                nk = alpha_shift(key, -j)
-                nk[m] += 2
-                bump(tuple(nk), c)
+        a, b = key[ia], key[ib]
+        # the two quotients as (k, coefficient, s-shift); a telescoping term
+        # j of either sits at lam - (j + 1) alpha
+        for k, cq, ds in ((a - b, c, 0), (a - b - 1, -c, 2)):
+            sign, js = demazure_range(k)
+            if not js:
+                continue
+            cq *= sign
+            nk = list(key)
+            nk[m] += ds
+            for j in js:
+                nk[ia], nk[ib] = a - j - 1, b + j + 1
+                key2 = tuple(nk)
+                c2 = out.get(key2, 0) + cq
+                if c2:
+                    out[key2] = c2
+                else:
+                    del out[key2]
     check_terms(len(out))
     return LaurentPoly(u.profile, out)
-
-
-def _embed_s(c: LaurentPoly, profile: tuple[str, ...], m: int) -> LaurentPoly:
-    zeros = (0,) * m
-    return LaurentPoly(profile, {zeros + k: coeff for k, coeff in c.terms.items()})
 
 
 def act(h: HeckeElt, u: LaurentPoly) -> LaurentPoly:
@@ -100,13 +78,14 @@ def act(h: HeckeElt, u: LaurentPoly) -> LaurentPoly:
     if u.profile != x_profile(m):
         raise ProfileMismatchError(f"expected a vector over {x_profile(m)}, got {u.profile}")
     total = LaurentPoly.zero(u.profile)
+    s_image = ((0,) * m + (1,),)
     for (lam, w), c in h.terms.items():
         vec = u
         for i in reversed(perm_word(w)):
             vec = act_T(i, vec, m)
         if any(lam):
             vec = act_e(lam, vec, m)
-        total = total + (vec if c == ONE_S else _embed_s(c, u.profile, m) * vec)
+        total = total + (vec if c == ONE_S else c.monomial_map(u.profile, s_image) * vec)
     return total
 
 

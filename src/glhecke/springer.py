@@ -54,7 +54,7 @@ suite proves the stability from them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import polyrep
@@ -163,7 +163,8 @@ class KClass:
     coordinates in the theorem basis."""
 
     entries: tuple[LaurentPoly, ...]
-    coords: tuple[LaurentPoly, ...] | None = None
+    # equality and the hash read the entries alone
+    coords: tuple[LaurentPoly, ...] | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -184,9 +185,6 @@ class KClass:
     def scale(self, c: LaurentPoly | int) -> "KClass":
         coords = None if self.coords is None else tuple(x * c for x in self.coords)
         return KClass(tuple(x * c for x in self.entries), coords)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, KClass) and self.entries == other.entries
 
 
 def restrict_line_bundle(m: int, lam) -> KClass:
@@ -343,11 +341,8 @@ def res_sigma(p: LaurentPoly, m: int) -> LaurentPoly:
         raise ValueError("expected a polynomial in the x-profile")
     if not is_symmetric(p, m):
         raise ValueError("res_sigma requires a symmetric polynomial")
-    images = {"x1": LaurentPoly.variable(GS_PROFILE, "g")}
-    for j in range(2, m + 1):
-        images[f"x{j}"] = _gs(0, m - 2 * (j - 1))
-    images["s"] = LaurentPoly.variable(GS_PROFILE, "s")
-    return p.subst(GS_PROFILE, images)
+    images = [(1, 0)] + [(0, m - 2 * (j - 1)) for j in range(2, m + 1)] + [(0, 1)]
+    return p.monomial_map(GS_PROFILE, images)
 
 
 # -- declared bases ------------------------------------------------------------
@@ -523,7 +518,7 @@ def kernel_generators(m: int) -> list[LaurentPoly]:
     no Laurent-integral coordinates raises ``SpanError`` naming x_j l_i."""
     profile = x_profile(m)
     lifts = [_basis_lift(m, i) for i in range(m)]
-    to_d = {"g": LaurentPoly.monomial(profile, (-1,) * m + (0,))}
+    to_d = ((-1,) * m + (0,), (0,) * m + (1,))
     out = []
     for j in range(m):
         xj = LaurentPoly.variable(profile, f"x{j + 1}")
@@ -536,7 +531,7 @@ def kernel_generators(m: int) -> list[LaurentPoly]:
             gen = xl
             for r, lk in zip(coords, lifts):
                 if not r.is_zero():
-                    gen = gen - r.subst(profile, to_d) * lk
+                    gen = gen - r.monomial_map(profile, to_d) * lk
             if not gen.is_zero():
                 out.append(gen)
     return out

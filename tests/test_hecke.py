@@ -304,7 +304,7 @@ def _left_mul_gen_mutant(*edits):
 
 LEFT_ACTION_FAULTS = {
     # the Bernstein correction always takes the (1 - v) sign
-    "bernstein-sign": [("(ONE_MINUS_V if exps[0][1] > 0 else V_MINUS_1)", "ONE_MINUS_V")],
+    "bernstein-sign": [("(ONE_MINUS_V if sign > 0 else V_MINUS_1)", "ONE_MINUS_V")],
     # v - 1 and v trade places when T_i meets a descent of T_w
     "descent-swap": [
         ("bump(swl, w, V_MINUS_1 * c)", "bump(swl, w, V * c)"),

@@ -1,12 +1,14 @@
 """Ring arithmetic, the telescoping quotient, orbit sums, specialization,
 and the literal grammar."""
 
+import ast
 import operator
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from glhecke.laurent import (
     TermBudgetError,
     demazure_exponents,
     demazure_quotient,
+    demazure_range,
     is_symmetric,
     orbit_sum,
     parse_poly,
@@ -225,6 +228,109 @@ def test_demazure_exponents_signs():
     assert demazure_exponents((0, 1), 1) == [((1, 0), -1)]
     assert demazure_exponents((1, 0), 1) == [((1, 0), 1)]
     assert demazure_exponents((0, 0), 1) == []
+
+
+DEMAZURE_RANGES = {
+    -3: (-1, [-3, -2, -1]),
+    -2: (-1, [-2, -1]),
+    -1: (-1, [-1]),
+    0: (1, []),
+    1: (1, [0]),
+    2: (1, [0, 1]),
+    3: (1, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("k", list(DEMAZURE_RANGES))
+def test_demazure_range_examples(k):
+    sign, got = demazure_range(k)
+    assert (sign, list(got)) == DEMAZURE_RANGES[k]
+    # sign * sum_j e^(lam - j alpha) times 1 - e^-alpha is e^lam - e^(s lam),
+    # at lam = (k, 0)
+    q = LaurentPoly.from_terms(X2, (((k - j, j, 0), sign) for j in got))
+    assert q * (LaurentPoly.one(X2) - alpha_poly(2, 1)) == mono(X2, (k, 0, 0)) - mono(X2, (0, k, 0))
+
+
+# -- monomial maps -------------------------------------------------------------------
+
+IMAGES_X3_TO_GS = st.tuples(*[st.tuples(st.integers(-3, 3), st.integers(-3, 3)) for _ in X3])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(X3), polys(X3), IMAGES_X3_TO_GS)
+def test_monomial_map_is_a_ring_map(a, b, images):
+    def f(p):
+        return p.monomial_map(GS_PROFILE, images)
+
+    assert f(a + b) == f(a) + f(b)
+    assert f(a * b) == f(a) * f(b)
+    assert f(LaurentPoly.one(X3)) == LaurentPoly.one(GS_PROFILE)
+
+
+def test_monomial_map_examples(monkeypatch):
+    # x1 -> g, x2 -> s^-1, x3 -> s, s -> s: x2*x3 and 1 meet at one key
+    images = [(1, 0), (0, -1), (0, 1), (0, 1)]
+    p = parse_poly(X3, "x1^2*x2 + x2*x3 - 1 + 3*x3^-1*s")
+    assert p.monomial_map(GS_PROFILE, images) == parse_poly(GS_PROFILE, "g^2*s^-1 + 3")
+    assert (p - p).monomial_map(GS_PROFILE, images).is_zero()
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 2)
+    assert len(p.monomial_map(GS_PROFILE, images).terms) == 2
+    with pytest.raises(TermBudgetError):
+        p.monomial_map(X3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    polys(X3),
+    st.lists(st.lists(st.integers(-2, 2), min_size=0, max_size=3), min_size=0, max_size=5),
+)
+def test_monomial_map_rejects_bad_image_shapes(p, images):
+    if len(images) == len(X3) and all(len(img) == len(GS_PROFILE) for img in images):
+        assert p.monomial_map(GS_PROFILE, images).profile == GS_PROFILE
+    else:
+        with pytest.raises(ProfileMismatchError):
+            p.monomial_map(GS_PROFILE, images)
+
+
+# -- the term layout stays in this module ------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "glhecke"
+# functions outside laurent.py that may build LaurentPoly(profile, terms) or
+# read .terms; None stands for the whole module (hecke reads HeckeElt.terms)
+LAYOUT_BUILDERS = {("polyrep", "act_T"), ("springer", "pushdown_poly")}
+LAYOUT_READERS = LAYOUT_BUILDERS | {("polyrep", "act"), ("hecke", None)}
+
+
+def layout_touches(path):
+    """(kind, module, function) for each ``LaurentPoly(...)`` call ("build")
+    and each ``.terms`` read ("read") in a source file, where function is the
+    enclosing top-level function or ``Class.method`` ("" at module level)."""
+    units = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            units += [(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
+        else:
+            units.append((getattr(node, "name", ""), node))
+    out = set()
+    for name, unit in units:
+        for n in ast.walk(unit):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "LaurentPoly":
+                out.add(("build", path.stem, name))
+            if isinstance(n, ast.Attribute) and n.attr == "terms" and isinstance(n.ctx, ast.Load):
+                out.add(("read", path.stem, name))
+    return out
+
+
+def test_term_layout_is_private_to_laurent():
+    touches = set().union(*(layout_touches(p) for p in PACKAGE.glob("*.py")))
+    # the walker sees the module's own uses
+    assert ("build", "laurent", "LaurentPoly.__add__") in touches
+    assert ("read", "laurent", "is_symmetric") in touches
+    for kind, module, func in sorted(touches):
+        if module == "laurent":
+            continue
+        allowed = LAYOUT_BUILDERS if kind == "build" else LAYOUT_READERS
+        assert (module, func) in allowed or (module, None) in allowed, (kind, module, func)
 
 
 # -- orbit sums --------------------------------------------------------------------

@@ -2,8 +2,11 @@
 closed form, module axioms, and exactness of the divided differences."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glhecke import laurent, polyrep, weyl
 from glhecke.hecke import HeckeElt, t_element
@@ -151,6 +154,68 @@ def test_divisions_are_exact():
         assert got * (e_alpha - one) == want_times
 
 
+def act_T_four_branches(i, u, m):
+    """T_{s_i} * u with each quotient's two signs of k written out as its
+    own telescoping loop: the form ``polyrep.act_T`` had before it read both
+    quotients off ``laurent.demazure_range``."""
+    ia, ib = i - 1, i
+    out = {}
+
+    def bump(key, c):
+        c2 = out.get(key, 0) + c
+        if c2:
+            out[key] = c2
+        else:
+            del out[key]
+
+    def alpha_shift(key, j):
+        nk = list(key)
+        nk[ia] -= j
+        nk[ib] += j
+        return nk
+
+    for key, c in u.terms.items():
+        k = key[ia] - key[ib]
+        # first quotient: k > 0: +sum_{j=1..k}; k < 0: -sum_{j=0..|k|-1} at +j
+        if k > 0:
+            for j in range(1, k + 1):
+                bump(tuple(alpha_shift(key, j)), c)
+        elif k < 0:
+            for j in range(0, -k):
+                bump(tuple(alpha_shift(key, -j)), -c)
+        # second quotient with k' = k - 1, times -s^2
+        k2 = k - 1
+        if k2 > 0:
+            for j in range(1, k2 + 1):
+                nk = alpha_shift(key, j)
+                nk[m] += 2
+                bump(tuple(nk), -c)
+        elif k2 < 0:
+            for j in range(0, -k2):
+                nk = alpha_shift(key, -j)
+                nk[m] += 2
+                bump(tuple(nk), c)
+    return LaurentPoly(u.profile, out)
+
+
+@st.composite
+def act_T_cases(draw):
+    """(i, u, m): m in 2..5, a finite index i, and u with up to 6 terms,
+    x-exponents in [-6, 6] and s-exponents in [-2, 2]."""
+    m = draw(st.integers(2, 5))
+    i = draw(st.integers(1, m - 1))
+    key = st.tuples(*[st.integers(-6, 6)] * m, st.integers(-2, 2))
+    items = draw(st.lists(st.tuples(key, st.integers(-3, 3).filter(bool)), max_size=6))
+    return i, LaurentPoly.from_terms(x_profile(m), items), m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(act_T_cases())
+def test_act_T_matches_the_four_branch_form(case):
+    i, u, m = case
+    assert polyrep.act_T(i, u, m) == act_T_four_branches(i, u, m)
+
+
 def test_act_T_respects_term_budget(monkeypatch):
     # T_1 x1^6 telescopes to 11 terms without a single LaurentPoly sum
     u = mono(2, [6, 0])
@@ -160,6 +225,18 @@ def test_act_T_respects_term_budget(monkeypatch):
     monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
     with pytest.raises(TermBudgetError):
         polyrep.act_T(1, u, 2)
+    # T_1 x1^200000 has quotients of 200,000 and 199,999 terms: the cap
+    # refuses the first before any of its terms is built
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 1000)
+    big = mono(2, [200000, 0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermBudgetError):
+            polyrep.act_T(1, big, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_affine_generator_through_bernstein_form():

@@ -171,6 +171,17 @@ def test_coords_round_trip():
             assert list(got) == coeffs
 
 
+def test_kclass_hash_agrees_with_equality():
+    # equality reads the entries alone, so a class with and without its
+    # coordinates must hash alike and meet in a set
+    for m in range(1, 5):
+        for cls in springer.theorem_basis(m):
+            bare = springer.KClass(cls.entries)
+            assert cls.coords is not None and cls == bare
+            assert hash(cls) == hash(bare)
+            assert len({cls, bare}) == 1
+
+
 def test_span_error_reported():
     # a bare skyscraper at p_1 needs the non-integral localization factors
     for m in range(2, 7):
