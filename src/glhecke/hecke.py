@@ -25,9 +25,11 @@ a finite letter is ``right_mul_gen``, and the affine letter uses
 
     (c e^lam T_u) T_{s_m} = c e^lam (T_u T_{s_m}),
 
-reading T_u T_{s_m} from a table keyed by u in S_m (at most m! entries per
-rank, each built once by the product), so the step only shifts exponents by
-lam and multiplies coefficients, in the same accumulation as the product.
+reading T_u T_{s_m} from a table keyed by u in S_m (``functools.cache`` on
+``_affine_right``: at most m! entries per rank, each built once by the
+product), so the step only shifts exponents by lam and multiplies
+coefficients, in the same accumulation as the product.  The reduced words,
+the T_{w_1} powers and the affine generator are cached the same way.
 
 Literals ``(s^2 - 1)*e[1,0]*T[1] + Tw[-2]`` are read by ``parse_hecke`` on
 the shared ``laurent.TokenCursor``; coefficients use its polynomial rule.
@@ -38,6 +40,7 @@ algebra of the extended affine Weyl group (tested).
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
 from typing import Iterable
 
@@ -58,15 +61,9 @@ def _s_power(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(S_PROFILE, (k,))
 
 
-# reduced words of finite permutations, cached per one-line tuple
-_word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
+@cache
 def perm_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Reduced word (1-based letters) with perm = s_{i1} o ... o s_{il}."""
-    got = _word_cache.get(perm)
-    if got is not None:
-        return got
     w = list(perm)
     records: list[int] = []
     while True:
@@ -77,9 +74,7 @@ def perm_word(perm: tuple[int, ...]) -> tuple[int, ...]:
                 break
         else:
             break
-    word = tuple(reversed(records))
-    _word_cache[perm] = word
-    return word
+    return tuple(reversed(records))
 
 
 class HeckeElt:
@@ -317,52 +312,37 @@ def _shifted_sum(
 
 # -- Omega generators and the affine node ---------------------------------
 
-_tw_cache: dict[tuple[int, int], HeckeElt] = {}
-_affine_cache: dict[int, HeckeElt] = {}
-# T_u T_{s_m} keyed by u in S_m; the rank is len(u), so at most m! entries per rank
-_affine_table: dict[tuple[int, ...], HeckeElt] = {}
-
-
 def _tw_one(m: int) -> HeckeElt:
     lam = tuple(-1 if j == 0 else 0 for j in range(m))
     return HeckeElt.basis(m, lam, weyl.sigma(m, 1).perm, _s_power(1 - m))
 
 
+@cache
 def _tw_power(m: int, k: int) -> HeckeElt:
     """T_{w_1}^k = e^{-q(1,..,1)} T_{w_1}^r for q, r = divmod(k, m), since
     T_{w_1}^m = e^{-(1,..,1)} is central."""
-    got = _tw_cache.get((m, k))
-    if got is not None:
-        return got
     q, r = divmod(k, m)
     if q:
-        res = HeckeElt.e((-q,) * m) * _tw_power(m, r)
-    else:
-        res = HeckeElt.one(m)
-        for _ in range(r):
-            res = res * _tw_one(m)
-    _tw_cache[(m, k)] = res
+        return HeckeElt.e((-q,) * m) * _tw_power(m, r)
+    res = HeckeElt.one(m)
+    for _ in range(r):
+        res = res * _tw_one(m)
     return res
 
 
+@cache
 def _affine_gen(m: int) -> HeckeElt:
-    got = _affine_cache.get(m)
-    if got is not None:
-        return got
     if m < 2:
         raise ValueError("no affine generator for m=1")
-    res = _tw_power(m, -1) * HeckeElt.gen(m, 1) * _tw_power(m, 1)
-    _affine_cache[m] = res
-    return res
+    return _tw_power(m, -1) * HeckeElt.gen(m, 1) * _tw_power(m, 1)
 
 
+@cache
 def _affine_right(u: tuple[int, ...]) -> HeckeElt:
-    """T_u T_{s_m} for u in S_m, built once by the product and kept."""
-    got = _affine_table.get(u)
-    if got is None:
-        m = len(u)
-        got = _affine_table[u] = HeckeElt.basis(m, (0,) * m, u) * _affine_gen(m)
-    return got
+    """T_u T_{s_m} for u in S_m: the rank is len(u), so at most m! entries
+    per rank, each built once by the product."""
+    m = len(u)
+    return HeckeElt.basis(m, (0,) * m, u) * _affine_gen(m)
 
 
 def t_element(w: weyl.AffineWeylElt) -> HeckeElt:

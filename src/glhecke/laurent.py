@@ -31,11 +31,12 @@ from __future__ import annotations
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from math import factorial, prod
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
     "S_PROFILE",
@@ -51,6 +52,7 @@ __all__ = [
     "demazure_range",
     "demazure_exponents",
     "demazure_quotient",
+    "orbit",
     "orbit_sum",
     "is_symmetric",
 ]
@@ -384,6 +386,7 @@ class LaurentPoly:
                 return None
             qc = ca // cb
             quot[qk] = quot.get(qk, 0) + qc
+            check_terms(len(quot))
             for kb, c in div.items():
                 key = tuple(a + b for a, b in zip(qk, kb))
                 c2 = rem.get(key, 0) - qc * c
@@ -591,12 +594,31 @@ def demazure_quotient(lam: Sequence[int], i: int) -> LaurentPoly:
     )
 
 
+def orbit(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct permutation of lam once, in increasing lexicographic
+    order: next-permutation steps from the sorted tuple, so an orbit of
+    size n costs O(n m) rather than m! steps."""
+    mu = sorted(lam)
+    m = len(mu)
+    while True:
+        yield tuple(mu)
+        i = m - 2
+        while i >= 0 and mu[i] >= mu[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = m - 1
+        while mu[j] <= mu[i]:
+            j -= 1
+        mu[i], mu[j] = mu[j], mu[i]
+        mu[i + 1 :] = reversed(mu[i + 1 :])
+
+
 def orbit_sum(lam: Sequence[int]) -> LaurentPoly:
-    """Sum of e^mu over the S_m-orbit of lam, each element counted once."""
-    profile = x_profile(len(lam))
-    return LaurentPoly.from_terms(
-        profile, ((mu + (0,), 1) for mu in set(permutations(lam)))
-    )
+    """Sum of e^mu over the S_m-orbit of lam, each element counted once; the
+    orbit size is held to the term cap before anything is built."""
+    check_terms(factorial(len(lam)) // prod(map(factorial, Counter(lam).values())))
+    return LaurentPoly.from_terms(x_profile(len(lam)), ((mu + (0,), 1) for mu in orbit(lam)))
 
 
 def is_symmetric(p: LaurentPoly, m: int) -> bool:

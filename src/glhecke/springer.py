@@ -6,8 +6,11 @@ fixed points p_1, ..., p_m; the torus scales the standard basis by
     u_1 -> g,    u_j -> s^{m-2(j-1)}   (j >= 2).
 
 Ground truth is the fixed-point representation: a K-class is recorded by its
-m restriction entries in Z[g^{+-1}, s^{+-1}].  Line bundles restrict to their
-fiber weights; the two declared bases are
+m restriction entries in Z[g^{+-1}, s^{+-1}] alone, and its theorem-basis
+coordinates are derived from them once, on demand (``KClass.coords``).  The
+fixed flags, the theorem basis and its step data are built once per rank
+(``functools.cache``).  Line bundles restrict to their fiber weights; the
+two declared bases are
 
   * the theorem basis  B_0 = O,  B_i = s^{i(m-i)} L_{-omega_i}, whose tuples
     are monomial and whose span carries the Hecke action, and
@@ -54,7 +57,8 @@ suite proves the stability from them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import polyrep
@@ -116,6 +120,7 @@ def _vector_weight(m: int, u: int) -> tuple[int, int]:
     return (1, 0) if u == 1 else (0, m - 2 * (u - 1))
 
 
+@cache
 def build_fixed_flags(m: int) -> FixedFlagTable:
     """The m fixed flags: p_1 is the standard flag, p_k swaps in the shifted
     spaces U'_j = <u_2..u_{j+1}> below level k, p_m uses all of them."""
@@ -147,44 +152,30 @@ def build_fixed_flags(m: int) -> FixedFlagTable:
     return FixedFlagTable(m, tuple(flags), tuple(weights), steps)
 
 
-_flag_cache: dict[int, FixedFlagTable] = {}
-
-
-def flags(m: int) -> FixedFlagTable:
-    got = _flag_cache.get(m)
-    if got is None:
-        got = _flag_cache[m] = build_fixed_flags(m)
-    return got
-
-
 @dataclass(frozen=True)
 class KClass:
-    """An element of the K-module: fixed-point tuple, optionally with
-    coordinates in the theorem basis."""
+    """An element of the K-module, recorded by its fixed-point tuple.  Its
+    coordinates in the theorem basis are derived once, on demand."""
 
     entries: tuple[LaurentPoly, ...]
-    # equality and the hash read the entries alone
-    coords: tuple[LaurentPoly, ...] | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def coords(self) -> tuple[LaurentPoly, ...]:
+        """Theorem-basis coordinates; SpanError when the class has none."""
+        return coords_in_theorem_basis(self.entries)
+
     def __add__(self, other: "KClass") -> "KClass":
-        coords = None
-        if self.coords is not None and other.coords is not None:
-            coords = tuple(a + b for a, b in zip(self.coords, other.coords))
-        return KClass(tuple(a + b for a, b in zip(self.entries, other.entries)), coords)
+        return KClass(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "KClass") -> "KClass":
-        coords = None
-        if self.coords is not None and other.coords is not None:
-            coords = tuple(a - b for a, b in zip(self.coords, other.coords))
-        return KClass(tuple(a - b for a, b in zip(self.entries, other.entries)), coords)
+        return KClass(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def scale(self, c: LaurentPoly | int) -> "KClass":
-        coords = None if self.coords is None else tuple(x * c for x in self.coords)
-        return KClass(tuple(x * c for x in self.entries), coords)
+        return KClass(tuple(x * c for x in self.entries))
 
 
 def restrict_line_bundle(m: int, lam) -> KClass:
@@ -192,7 +183,7 @@ def restrict_line_bundle(m: int, lam) -> KClass:
     lam = tuple(lam)
     if len(lam) != m:
         raise ValueError("cocharacter length mismatch")
-    table = flags(m)
+    table = build_fixed_flags(m)
     entries = []
     for k in range(m):
         ge = se = 0
@@ -205,26 +196,16 @@ def restrict_line_bundle(m: int, lam) -> KClass:
 
 
 def structure_sheaf(m: int) -> KClass:
-    unit = tuple(LaurentPoly.one(GS_PROFILE) for _ in range(m))
-    coords = tuple(
-        LaurentPoly.one(GS_PROFILE) if i == 0 else LaurentPoly.zero(GS_PROFILE)
-        for i in range(m)
+    return KClass(tuple(LaurentPoly.one(GS_PROFILE) for _ in range(m)))
+
+
+@cache
+def theorem_basis(m: int) -> tuple[KClass, ...]:
+    """B_0 = O and B_i = s^{i(m-i)} L_{-omega_i}."""
+    return (structure_sheaf(m),) + tuple(
+        restrict_line_bundle(m, [-1] * i + [0] * (m - i)).scale(_gs(0, i * (m - i)))
+        for i in range(1, m)
     )
-    return KClass(unit, coords)
-
-
-def theorem_basis(m: int) -> list[KClass]:
-    """B_0 = O and B_i = s^{i(m-i)} L_{-omega_i}, with unit coordinate vectors."""
-    out = [structure_sheaf(m)]
-    for i in range(1, m):
-        omega_i = [-1] * i + [0] * (m - i)
-        cls = restrict_line_bundle(m, omega_i).scale(_gs(0, i * (m - i)))
-        coords = tuple(
-            LaurentPoly.one(GS_PROFILE) if j == i else LaurentPoly.zero(GS_PROFILE)
-            for j in range(m)
-        )
-        out.append(KClass(cls.entries, coords))
-    return out
 
 
 class _TheoremData(NamedTuple):
@@ -239,28 +220,23 @@ class _TheoremData(NamedTuple):
     det: LaurentPoly
 
 
-_basis_cache: dict[int, _TheoremData] = {}
-
-
+@cache
 def _theorem_data(m: int) -> _TheoremData:
     """The steps and det V of rank m, built on first use; raises
     AssertionError when V does not have the step shape."""
-    got = _basis_cache.get(m)
-    if got is None:
-        cols = [b.entries for b in theorem_basis(m)]
-        one = LaurentPoly.one(GS_PROFILE)
-        if cols[0] != (one,) * m:
-            raise AssertionError(f"theorem basis m={m}: B_0 is not the unit tuple")
-        steps = []
-        det = one if m % 2 else -one
-        for i in range(1, m):
-            a, b = cols[i][0], cols[i][m - 1]
-            if a == b or cols[i] != (a,) * i + (b,) * (m - i):
-                raise AssertionError(f"theorem basis m={m}: column {i} is not a step")
-            steps.append((b, a - b))
-            det = det * (a - b)
-        got = _basis_cache[m] = _TheoremData(steps, det)
-    return got
+    cols = [b.entries for b in theorem_basis(m)]
+    one = LaurentPoly.one(GS_PROFILE)
+    if cols[0] != (one,) * m:
+        raise AssertionError(f"theorem basis m={m}: B_0 is not the unit tuple")
+    steps = []
+    det = one if m % 2 else -one
+    for i in range(1, m):
+        a, b = cols[i][0], cols[i][m - 1]
+        if a == b or cols[i] != (a,) * i + (b,) * (m - i):
+            raise AssertionError(f"theorem basis m={m}: column {i} is not a step")
+        steps.append((b, a - b))
+        det = det * (a - b)
+    return _TheoremData(steps, det)
 
 
 def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
@@ -291,7 +267,7 @@ def pushdown_poly(m: int, u: LaurentPoly) -> tuple[LaurentPoly, ...]:
     fixed point it moves only in the slots of ``FixedFlagTable.steps``."""
     if u.profile != x_profile(m):
         raise ProfileMismatchError(f"expected a vector over {x_profile(m)}, got {u.profile}")
-    table = flags(m)
+    table = build_fixed_flags(m)
     walk = list(zip([dict() for _ in range(m)], ((),) + table.steps))
     for key, c in u.terms.items():
         ge, se = 0, key[m]
@@ -321,16 +297,15 @@ def _basis_lift(m: int, i: int) -> LaurentPoly:
 
 def k_act(h: HeckeElt, c: KClass) -> KClass:
     """Act by a Hecke element: sum_i c_i * pushdown(h * l_i) over the nonzero
-    coordinates c_i, then re-express the tuple in the theorem basis."""
+    theorem-basis coordinates c_i of the class."""
     m = c.m
-    coords = c.coords if c.coords is not None else coords_in_theorem_basis(c.entries)
     entries = (LaurentPoly.zero(GS_PROFILE),) * m
-    for i, ci in enumerate(coords):
+    for i, ci in enumerate(c.coords):
         if ci.is_zero():
             continue
         pushed = pushdown_poly(m, polyrep.act(h, _basis_lift(m, i)))
         entries = tuple(e + ci * p for e, p in zip(entries, pushed))
-    return KClass(entries, coords_in_theorem_basis(entries))
+    return KClass(entries)
 
 
 def res_sigma(p: LaurentPoly, m: int) -> LaurentPoly:
@@ -422,7 +397,7 @@ def declared_bases(m: int) -> BasisTables:
             col[0] = col[0] - _gs(0, 2 * j - m) * col[j]
         cols.append(col)
     lusztig = tuple(zip(*cols))
-    return BasisTables(m, tuple(theorem_basis(m)), lusztig, det)
+    return BasisTables(m, theorem_basis(m), lusztig, det)
 
 
 def skyscraper_pm(m: int) -> KClass:
@@ -437,7 +412,6 @@ def bundle_identities_hold(m: int) -> bool:
     identities as exact monomial identities, plus the consistency of the
     solved Lusztig tuples with the end-point fiber values (compared as
     numerators over 1 - s^2)."""
-    table = flags(m)
     # restriction table for L_{omega_k} on V_j (fixed points p_j, p_{j+1})
     for k in range(1, m):
         lw = restrict_line_bundle(m, [1] * k + [0] * (m - k))

@@ -37,7 +37,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from . import springer
 from .hecke import HeckeElt, parse_hecke
-from .laurent import GS_PROFILE, LaurentPoly
+from .laurent import GS_PROFILE, LaurentPoly, orbit
 from .linalg import det_laurent
 
 __all__ = [
@@ -158,16 +158,10 @@ def generator_keys(m: int) -> list[str]:
     return keys
 
 
-_theorem_basis_cache: dict[int, tuple[springer.KClass, ...]] = {}
-
-
 def _matrix_of(m: int, h: HeckeElt) -> SparseRows:
     """The matrix of h: column i holds the coordinates of h acting on B_i,
     which ``k_act`` reads off B_i's unit coordinate vector."""
-    basis = _theorem_basis_cache.get(m)
-    if basis is None:
-        basis = _theorem_basis_cache[m] = tuple(springer.theorem_basis(m))
-    cols = [springer.k_act(h, b).coords for b in basis]
+    cols = [springer.k_act(h, b).coords for b in springer.theorem_basis(m)]
     return [{j: col[i] for j, col in enumerate(cols) if not col[i].is_zero()} for i in range(m)]
 
 
@@ -489,7 +483,7 @@ def enumerate_orbits(n: int, m: int, bound_n: int, bound_r: int) -> list[OrbitLa
 def condition1_brute(lam: tuple[int, ...], bound_n: int, bound_r: int) -> bool:
     """Scan every Weyl conjugate nu of lam: <nu, w_1^vee> <= r and the dual
     bound -nu_n <= N."""
-    for nu in set(permutations(lam)):
+    for nu in orbit(lam):
         if nu[0] > bound_r or -nu[-1] > bound_n:
             return False
     return True

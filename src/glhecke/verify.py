@@ -41,6 +41,7 @@ from .laurent import (
     TermBudgetError,
     demazure_exponents,
     demazure_quotient,
+    orbit,
     orbit_sum,
     x_profile,
 )
@@ -297,7 +298,7 @@ def _run(spec: _Spec, c: _Ctx) -> Check:
 def _orbit_element(lam) -> HeckeElt:
     """sum of e^mu over the S_m-orbit of lam, a central element."""
     z = HeckeElt.zero(len(lam))
-    for mu in set(permutations(lam)):
+    for mu in orbit(lam):
         z = z + HeckeElt.e(mu)
     return z
 

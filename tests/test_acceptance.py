@@ -47,8 +47,8 @@ def test_criterion_03_freeness():
 
 
 def test_criterion_04_center():
-    label = "elementary symmetric orbit sums act by res_sigma, m=2..7"
-    _criterion(4, label, 30, "springer", ["center"], range(2, 8))
+    label = "elementary symmetric orbit sums act by res_sigma, m=2..12"
+    _criterion(4, label, 30, "springer", ["center"], range(2, 13))
 
 
 def test_criterion_05_hecke_soundness():

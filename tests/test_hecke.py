@@ -26,17 +26,6 @@ from glhecke.hecke import (
 from glhecke.laurent import S_PROFILE, LaurentPoly, TermBudgetError, demazure_exponents
 
 
-@pytest.fixture
-def fresh_hecke_caches(monkeypatch):
-    """Empty every module-level cache of ``hecke`` for one test and restore
-    it after: the T_w1 powers, the affine generators and the affine table
-    hold products, so a mutant product must not leave entries there for
-    later tests.  Caches are found by type, so a new one is covered too."""
-    for name, value in list(vars(hecke).items()):
-        if name.startswith("_") and not name.startswith("__") and isinstance(value, dict):
-            monkeypatch.setattr(hecke, name, {})
-
-
 def s_pow(k):
     return LaurentPoly(S_PROFILE, {(k,): 1})
 
@@ -140,7 +129,15 @@ def t_element_by_products(w):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_affine_table_matches_full_products(fresh_hecke_caches, m):
+def test_affine_table_matches_full_products(monkeypatch, fresh_caches, m):
+    table = hecke._affine_right
+    keys = []
+
+    def recording(u):
+        keys.append(u)
+        return table(u)
+
+    monkeypatch.setattr(hecke, "_affine_right", recording)
     rng = random.Random(f"affine-table:{m}")
     for _ in range(60):
         w = weyl.AffineWeylElt(
@@ -148,9 +145,8 @@ def test_affine_table_matches_full_products(fresh_hecke_caches, m):
         )
         assert t_element(w) == t_element_by_products(w), w
     # one entry T_u T_{s_m} per finite permutation u, and nothing else
-    table = hecke._affine_table
-    assert table and all(sorted(u) == list(range(m)) for u in table)
-    assert len(table) <= factorial(m)
+    assert keys and all(sorted(u) == list(range(m)) for u in keys)
+    assert table.cache_info().currsize <= factorial(m)
 
 
 def test_t_inverse():
@@ -314,7 +310,7 @@ LEFT_ACTION_FAULTS = {
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_planted_left_action_fault_fails_associativity(monkeypatch, fresh_hecke_caches, m):
+def test_planted_left_action_fault_fails_associativity(monkeypatch, fresh_caches, m):
     for name, edits in LEFT_ACTION_FAULTS.items():
         monkeypatch.setattr(HeckeElt, "left_mul_gen", _left_mul_gen_mutant(*edits))
         check = verify.run_check("hecke", "associativity", m)

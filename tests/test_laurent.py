@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from glhecke.laurent import (
     demazure_quotient,
     demazure_range,
     is_symmetric,
+    orbit,
     orbit_sum,
     parse_poly,
     x_profile,
@@ -333,6 +335,28 @@ def test_term_layout_is_private_to_laurent():
         assert (module, func) in allowed or (module, None) in allowed, (kind, module, func)
 
 
+def _is_empty_dict(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+        and not node.args and not node.keywords
+    )
+
+
+def test_functools_cache_is_the_one_memo_idiom():
+    # derived values are memoised by functools.cache; the generator matrices
+    # of theta stay a plain dict, the seam through which tests plant faults
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if _is_empty_dict(node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [(path.stem, ast.unparse(t)) for t in targets]
+    assert found == [("theta", "_matrix_cache")]
+
+
 # -- orbit sums --------------------------------------------------------------------
 
 
@@ -340,6 +364,22 @@ def test_orbit_sum_examples():
     assert orbit_sum((1, 0)) == mono(X2, (1, 0, 0)) + mono(X2, (0, 1, 0))
     assert orbit_sum((1, 1)) == mono(X2, (1, 1, 0))
     assert len(orbit_sum((2, 1, 0)).terms) == 6
+
+
+@given(st.lists(st.integers(-2, 2), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_orbit_lists_each_permutation_once(lam):
+    got = list(orbit(lam))
+    assert len(got) == len(set(got))
+    assert set(got) == set(permutations(lam))
+
+
+def test_orbit_sum_holds_the_orbit_size_to_the_term_cap(monkeypatch):
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 2)
+    with pytest.raises(TermBudgetError):
+        orbit_sum((1, 0, 0))
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
+    assert len(orbit_sum((1, 0, 0)).terms) == 3
 
 
 def test_orbit_sum_symmetric():
@@ -423,6 +463,15 @@ def test_div_exact():
     assert p.div_exact(x1 + s) == x1 - x2
     assert p.div_exact(x1 + x2) is None
     assert (x1 * x1 - s * s).div_exact(x1 - s) == x1 + s
+
+
+def test_div_exact_holds_the_quotient_to_the_term_cap(monkeypatch):
+    num, den = parse_poly(S_PROFILE, "s^3 - 1"), parse_poly(S_PROFILE, "s - 1")
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 2)
+    with pytest.raises(TermBudgetError):
+        num.div_exact(den)
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
+    assert num.div_exact(den) == parse_poly(S_PROFILE, "s^2 + s + 1")
 
 
 # -- the GLHECKE_MAX_TERMS cap --------------------------------------------------------

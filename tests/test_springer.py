@@ -2,6 +2,7 @@
 the Hecke action on the K-module, and the kernel of restriction."""
 
 import random
+from dataclasses import fields
 from itertools import permutations, product
 
 import pytest
@@ -116,24 +117,23 @@ def test_theorem_det_product_formula():
             assert det == det_expansion(vmat), m
 
 
-def test_theorem_data_rejects_a_non_step_basis(monkeypatch):
+def test_theorem_data_rejects_a_non_step_basis(monkeypatch, fresh_caches):
     # B_1 is (a, b, ..., b); swapping its ends gives (b, b, ..., a), which
     # for m >= 3 is not a step
     def swapped(m):
         basis = list(true_basis(m))
         e = basis[1].entries
-        basis[1] = springer.KClass((e[-1],) + e[1:-1] + (e[0],), basis[1].coords)
-        return basis
+        basis[1] = springer.KClass((e[-1],) + e[1:-1] + (e[0],))
+        return tuple(basis)
 
     true_basis = springer.theorem_basis
     monkeypatch.setattr(springer, "theorem_basis", swapped)
-    monkeypatch.setattr(springer, "_basis_cache", {})
     for m in (3, 4, 6):
         with pytest.raises(AssertionError, match="not a step"):
             springer._theorem_data(m)
 
 
-def test_k_act_makes_no_determinant_calls(monkeypatch):
+def test_k_act_makes_no_determinant_calls(monkeypatch, fresh_caches):
     calls = []
 
     def counting(mat):
@@ -141,7 +141,6 @@ def test_k_act_makes_no_determinant_calls(monkeypatch):
         return det_laurent(mat)
 
     monkeypatch.setattr(springer, "det_laurent", counting)
-    monkeypatch.setattr(springer, "_basis_cache", {})
     for m in range(1, 7):
         basis = springer.theorem_basis(m)
         gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)] if m >= 2 else []
@@ -172,18 +171,39 @@ def test_coords_round_trip():
 
 
 def test_kclass_hash_agrees_with_equality():
-    # equality reads the entries alone, so a class with and without its
-    # coordinates must hash alike and meet in a set
+    # equality and the hash read the entries alone, so a class whose
+    # coordinates were already derived and a fresh one that has not derived
+    # them yet must hash alike and meet in a set
     for m in range(1, 5):
         for cls in springer.theorem_basis(m):
             bare = springer.KClass(cls.entries)
-            assert cls.coords is not None and cls == bare
+            assert len(cls.coords) == m and "coords" not in vars(bare)
+            assert cls == bare
             assert hash(cls) == hash(bare)
             assert len({cls, bare}) == 1
 
 
+def test_theorem_basis_is_built_once_per_rank():
+    assert springer.theorem_basis(5) is springer.theorem_basis(5)
+
+
+def test_kclass_holds_its_entries_alone():
+    assert [f.name for f in fields(springer.KClass)] == ["entries"]
+
+
+def test_k_act_coords_match_a_fresh_solve():
+    for m in range(1, 7):
+        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)] if m >= 2 else []
+        gens += [HeckeElt.tw(m, 1), HeckeElt.e((1,) + (0,) * (m - 1))]
+        for h in gens:
+            for b in springer.theorem_basis(m):
+                got = springer.k_act(h, b)
+                assert got.coords == springer.coords_in_theorem_basis(got.entries), (m, h)
+
+
 def test_span_error_reported():
-    # a bare skyscraper at p_1 needs the non-integral localization factors
+    # a bare skyscraper at p_1 needs the non-integral localization factors;
+    # it is still a class, and only reading its coordinates raises
     for m in range(2, 7):
         entries = tuple(
             LaurentPoly.one(GS_PROFILE) if k == 0 else LaurentPoly.zero(GS_PROFILE)
@@ -191,6 +211,9 @@ def test_span_error_reported():
         )
         with pytest.raises(springer.SpanError):
             springer.coords_in_theorem_basis(entries)
+        cls = springer.KClass(entries)
+        with pytest.raises(springer.SpanError):
+            cls.coords
 
 
 def test_k_act_length_zero():
@@ -313,7 +336,7 @@ def test_kernel_generators_restrict_to_zero():
             assert all(e.is_zero() for e in springer.pushdown_poly(m, g)), (m, g)
 
 
-def test_kernel_stability_catches_planted_faults(monkeypatch):
+def test_kernel_stability_catches_planted_faults(monkeypatch, fresh_caches):
     m = 3
     coords, act = springer.coords_in_theorem_basis, polyrep.act
     one = LaurentPoly.one(GS_PROFILE)
@@ -526,7 +549,7 @@ def test_pushdown_walk_matches_restriction_at_higher_rank():
     # slots of each step; restrict_line_bundle reads every weight afresh
     rng = random.Random(35)
     for m in range(5, 11):
-        assert all(len(step) == 2 for step in springer.flags(m).steps)
+        assert all(len(step) == 2 for step in springer.build_fixed_flags(m).steps)
         for _ in range(10):
             nu = [rng.randint(-2, 2) for _ in range(m)]
             b = rng.randint(-2, 2)
