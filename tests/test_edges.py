@@ -67,7 +67,7 @@ _LITERAL_TOKENS = st.sampled_from(
 )
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=600)
 @given(st.lists(_LITERAL_TOKENS, max_size=12), st.integers(1, 3))
 def test_literal_fuzz_parses_or_raises_value_error(tokens, m):
     text = " ".join(tokens)
@@ -128,7 +128,7 @@ def test_theta_m1_degenerate():
     assert theta.freeness_determinant(1) == one
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(
     st.integers(2, 3),
     st.lists(st.integers(-2, 2), min_size=3, max_size=3),
@@ -143,7 +143,7 @@ def test_hecke_mul_bilinear(m, lam3, i):
     assert (b + c) * a == b * a + c * a
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4))
 def test_translation_lengths_are_orbit_invariant(lam):
     # len(t^lam) depends only on the multiset of entries

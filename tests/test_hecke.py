@@ -418,20 +418,20 @@ def convolve(f, g):
     return {k: c for k, c in out.items() if c}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.sampled_from([1, 2, 3]).flatmap(hecke_elts))
 def test_literal_round_trip_property(h):
     assert parse_hecke(h.m, str(h)) == h
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(hecke_triples())
 def test_product_associative_property(abc):
     a, b, c = abc
     assert (a * b) * c == a * (b * c)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(hecke_triples(), s_coeffs)
 def test_product_bilinear_property(abc, p):
     a, b, c = abc
@@ -443,7 +443,7 @@ def test_product_bilinear_property(abc, p):
     assert a.scale(-2) * b == (a * b).scale(-2)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(hecke_triples())
 def test_s_one_collapse_property(abc):
     a, b, _ = abc

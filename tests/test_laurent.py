@@ -133,7 +133,7 @@ def polys(draw, profile=X2):
     return LaurentPoly.from_terms(profile, items)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(polys(), polys(), polys())
 def test_ring_axioms_property(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -142,7 +142,7 @@ def test_ring_axioms_property(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.sampled_from([S_PROFILE, X2]).flatmap(polys))
 def test_unit_factor_returns_the_other_property(p):
     one = LaurentPoly.one(p.profile)
@@ -171,7 +171,7 @@ def embed_gs(p):
     return LaurentPoly(GS_PROFILE, {(0,) + k: c for k, c in p.terms.items()})
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(s_pairs())
 def test_one_variable_branch_matches_generic_path(pair):
     # products and sums over ('s',) agree with the n-variable code over ('g', 's')
@@ -258,7 +258,7 @@ def test_demazure_range_examples(k):
 IMAGES_X3_TO_GS = st.tuples(*[st.tuples(st.integers(-3, 3), st.integers(-3, 3)) for _ in X3])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(polys(X3), polys(X3), IMAGES_X3_TO_GS)
 def test_monomial_map_is_a_ring_map(a, b, images):
     def f(p):
@@ -281,7 +281,7 @@ def test_monomial_map_examples(monkeypatch):
         p.monomial_map(X3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     polys(X3),
     st.lists(st.lists(st.integers(-2, 2), min_size=0, max_size=3), min_size=0, max_size=5),
@@ -367,7 +367,7 @@ def test_orbit_sum_examples():
 
 
 @given(st.lists(st.integers(-2, 2), max_size=6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_orbit_lists_each_permutation_once(lam):
     got = list(orbit(lam))
     assert len(got) == len(set(got))
@@ -409,7 +409,7 @@ def test_specialize_rejects_zero():
     assert p.specialize({"s": Fraction(2, 3)}) == Fraction(3, 2)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(polys(X3), st.tuples(*[st.sampled_from([1, -1, 2, Fraction(1, 3)]) for _ in X3]))
 def test_specialize_matches_termwise_fractions(p, values):
     assignments = dict(zip(X3, values))

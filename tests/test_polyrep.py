@@ -209,7 +209,7 @@ def act_T_cases(draw):
     return i, LaurentPoly.from_terms(x_profile(m), items), m
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(act_T_cases())
 def test_act_T_matches_the_four_branch_form(case):
     i, u, m = case

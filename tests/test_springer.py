@@ -291,10 +291,10 @@ def x_poly_pairs(draw):
     return m, LaurentPoly(x_profile(m), draw(poly)), LaurentPoly(x_profile(m), draw(poly))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(x_poly_pairs(), st.integers(-3, 3), st.integers(-3, 3))
 def test_act_and_pushdown_are_linear(muv, a, b):
-    # the linearity that lets the box oracle check a basis and combine columns
+    # the linearity that lets the box oracle check a basis
     m, u, v = muv
     w = u * a + v * b
     for g in _stability_generators(m):
@@ -310,7 +310,7 @@ def _box_kernel_is_stable(m, degree):
     kernel = box_kernel.kernel_vectors(m, degree)
     images = [springer.pushdown_poly(m, u) for u in kernel]
     for g in _stability_generators(m):
-        images += box_kernel.pushdown_act(m, g, kernel)
+        images += [springer.pushdown_poly(m, polyrep.act(g, u)) for u in kernel]
     return all(e.is_zero() for image in images for e in image)
 
 
@@ -372,20 +372,6 @@ def test_kernel_stability_catches_planted_faults(monkeypatch, fresh_caches):
     check = verify.run_check("springer", "kernel-stability", m)
     assert check.status == "fail"
     assert check.counterexample == "T[1] is not linear over x1*x2 at x1^-4"
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_pushdown_act_matches_the_direct_route(m):
-    kernel = box_kernel.kernel_vectors(m, 2)
-    for g in _stability_generators(m):
-        direct = [springer.pushdown_poly(m, polyrep.act(g, u)) for u in kernel]
-        assert list(box_kernel.pushdown_act(m, g, kernel)) == direct
-    # off the kernel too: the images of the box monomials and of sums of them
-    box = [LaurentPoly.monomial(x_profile(m), nu + (0,)) for nu in product(range(3), repeat=m)]
-    vectors = [box[0] * 3 - box[-1], box[1] + box[2] * -2 + box[-2]]
-    for g in _stability_generators(m):
-        direct = [springer.pushdown_poly(m, polyrep.act(g, u)) for u in vectors]
-        assert list(box_kernel.pushdown_act(m, g, vectors)) == direct
 
 
 def _flipped_act_T(act_T, only=None):
@@ -479,6 +465,9 @@ def test_kernel_stability_reports_linear_faults_in_loop_order(monkeypatch, fault
     check = verify.run_check("springer", "kernel-stability", 4)
     assert check.status == "fail"
     assert check.counterexample == want
+    # the box oracle sees every fault but the bend, as the degree-2 box has
+    # no exponent difference of 3
+    assert _box_kernel_is_stable(4, 2) == (fault == "bent-at-difference-3")
 
 
 @st.composite
@@ -499,7 +488,7 @@ def invariant_pairs(draw):
     return m, i, LaurentPoly(x_profile(m), f), u
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(invariant_pairs())
 def test_act_T_is_linear_over_the_invariants(mifu):
     # the premise that kernel-stability checks on the ring generators of the

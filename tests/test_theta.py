@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from conftest import _package_caches
 from dense_relations import box_multiplicativity_failures, check_dense_relations, dense, dense_mat_mul
 
 from glhecke import polyrep, springer, theta, verify
@@ -127,6 +128,18 @@ def test_relation_words_match_kact_chain():
                     for k in range(m)
                 )
                 assert chain.entries == entries, (m, word, j)
+
+
+def test_fresh_caches_empties_the_matrices_too(request):
+    # a fault planted under the fixture may reach the generator matrices, a
+    # plain dict beside the functools.cache tables
+    HeckeElt.tw(3, 1)
+    theta._matrix(3, "T[1]")
+    caches = _package_caches()
+    assert any(fn.cache_info().currsize for fn in caches) and theta._matrix_cache
+    request.getfixturevalue("fresh_caches")
+    assert [fn for fn in caches if fn.cache_info().currsize] == []
+    assert theta._matrix_cache == {}
 
 
 def _plant(monkeypatch, m, key):

@@ -63,13 +63,12 @@ def test_run_check_matches_run_suite():
         verify.run_check("springer", "nonsense", 2)
 
 
-def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch):
+def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch, fresh_caches):
     # adding O to every k_act result breaks the k_act formulas, the defining
     # relations and the central characters; each suite must say so under its
     # own id, which shows the shared check functions are not vacuous
     true_k_act = springer.k_act
     monkeypatch.setattr(springer, "k_act", lambda h, c: true_k_act(h, c) + springer.structure_sheaf(c.m))
-    monkeypatch.setattr(theta, "_matrix_cache", {})
     planted = {
         "springer": {"kact-examples-m2", "center-m2"},
         "theta": {"defining-relations-m2", "central-characters-m2"},

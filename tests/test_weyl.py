@@ -52,7 +52,7 @@ def weyl_pairs(draw):
     return draw(elts_of_rank(m)), draw(elts_of_rank(m, st.booleans()))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(weyl_pairs())
 def test_semidirect_product_law(pair):
     # (lam1, w1)(lam2, w2) = (lam1 + w1(lam2), w1 w2), with w acting on
@@ -68,7 +68,7 @@ def test_semidirect_product_law(pair):
     assert a * b == weyl.AffineWeylElt(want_trans, want_perm)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.data())
 def test_product_rejects_rank_mismatch_property(data):
     # with or without a translation on the right, the ranks must agree
@@ -198,7 +198,7 @@ weyl_elts = st.integers(1, 6).flatmap(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(weyl_elts)
 def test_reduced_word_matches_trial_length_reference(w):
     assert weyl.reduced_word(w) == trial_length_reduced_word(w)
@@ -311,7 +311,7 @@ def test_literals():
     assert weyl.parse_weyl(2, "W1^2 t[1,0]p[2,1]") == weyl.parse_weyl(2, "W1^2*t[1,0]*p[2,1]")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(weyl_elts)
 def test_literal_round_trip_property(w):
     assert weyl.parse_weyl(w.m, weyl.format_weyl(w)) == w
