@@ -145,11 +145,7 @@ class HeckeElt:
         return self + other.scale(-1)
 
     def scale(self, c: "LaurentPoly | int") -> "HeckeElt":
-        if isinstance(c, int):
-            if c == 0:
-                return HeckeElt.zero(self.m)
-            return HeckeElt(self.m, {k: p * c for k, p in self.terms.items()})
-        if c.is_zero():
+        if (c == 0) if isinstance(c, int) else c.is_zero():
             return HeckeElt.zero(self.m)
         return HeckeElt(self.m, {k: p * c for k, p in self.terms.items()})
 
@@ -246,10 +242,7 @@ class HeckeElt:
         affine Weyl group via e^lam T_w -> t^lam w."""
         out: dict[weyl.AffineWeylElt, int] = {}
         for (lam, w), c in self.terms.items():
-            val = c.specialize({"s": 1})
-            if val.denominator != 1:
-                raise AssertionError("integer coefficients expected")
-            n = int(val)
+            n = c.coefficient_sum()
             if n == 0:
                 continue
             g = weyl.AffineWeylElt(lam, w)

@@ -21,9 +21,10 @@ sending each variable to a monomial, and the telescoping quotient
 polynomial, computed as a closed-form sum rather than by trial division):
 ``demazure_range`` is its one rule, on which ``demazure_exponents``, the
 Bernstein relation of ``hecke`` and the ``T_i`` action of ``polyrep`` are
-built.  Further: symmetric-group orbit sums, exact rational specialization,
-a round-trip text grammar like ``3*s^-2*x1^2 - x2``, and ``TokenCursor``,
-the one literal reader that the Hecke and Weyl grammars build on.
+built.  Further: symmetric-group orbit sums, ``coefficient_sum`` (the value
+at 1 of every variable), a round-trip text grammar like
+``3*s^-2*x1^2 - x2``, and ``TokenCursor``, the one literal reader that the
+Hecke and Weyl grammars build on.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ import os
 import re
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "S_PROFILE",
@@ -293,45 +293,9 @@ class LaurentPoly:
 
     # -- evaluation and monomial maps -------------------------------------
 
-    def specialize(self, assignments: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact rational evaluation.  Every occurring variable must get a
-        nonzero rational; zero assignments are rejected (variables are
-        invertible).
-
-        Integer arithmetic throughout: a variable assigned 1 is skipped, and
-        one assigned p/q contributes p^(e-lo) q^(hi-e) to a term with
-        exponent e, where [lo, hi] spans its exponents and 0; the integer sum
-        becomes one Fraction over the common denominator at the end.  When
-        every assigned value is 1 the value is just the coefficient sum."""
-        spans: list[tuple[int, int, int, int, int]] = []  # (index, p, q, lo, hi)
-        unassigned: list[int] = []
-        den = 1
-        for idx, name in enumerate(self.profile):
-            if name not in assignments:
-                unassigned.append(idx)
-                continue
-            val = assignments[name]
-            if val == 1:
-                continue
-            val = Fraction(val)
-            if val == 0:
-                raise ValueError(f"variable {name} assigned zero")
-            exps = [0, *(key[idx] for key in self.terms)]
-            lo, hi = min(exps), max(exps)
-            p, q = val.numerator, val.denominator
-            spans.append((idx, p, q, lo, hi))
-            den *= p**-lo * q**hi
-        if unassigned and any(key[idx] for key in self.terms for idx in unassigned):
-            raise ValueError("unassigned variable with nonzero exponent")
-        if not spans:
-            return Fraction(sum(self.terms.values()))
-        total = 0
-        for key, c in self.terms.items():
-            for idx, p, q, lo, hi in spans:
-                e = key[idx]
-                c *= p ** (e - lo) * q ** (hi - e)
-            total += c
-        return Fraction(total, den)
+    def coefficient_sum(self) -> int:
+        """The value at 1 of every variable."""
+        return sum(self.terms.values())
 
     def monomial_map(
         self, target: tuple[str, ...], images: Sequence[Sequence[int]]

@@ -41,7 +41,6 @@ from .laurent import GS_PROFILE, LaurentPoly, orbit
 from .linalg import det_laurent
 
 __all__ = [
-    "ThetaVector",
     "theta_action_matrices",
     "generator_keys",
     "check_defining_relations",
@@ -52,7 +51,6 @@ __all__ = [
     "OrbitLabel",
     "enumerate_orbits",
     "orbit_representative",
-    "s_nm_size",
     "condition1_brute",
 ]
 
@@ -73,46 +71,6 @@ PolyMatrix = list[list[LaurentPoly]]
 # A sparse matrix: one {column: entry} dict per row, with no zero entries, so
 # equal matrices have equal rows.
 SparseRows = list[dict[int, LaurentPoly]]
-
-
-@dataclass(frozen=True)
-class ThetaVector:
-    """Coordinates in the basis IC^0..IC^{m-1} over Z[g^{+-1}, s^{+-1}]."""
-
-    coords: tuple[LaurentPoly, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.coords)
-
-    @staticmethod
-    def ic(m: int, k: int) -> "ThetaVector":
-        """IC^k for any integer k, wrapped by IC^{k+m} = g^{-1} IC^k."""
-        q, r = divmod(k, m)
-        coords = [_ZERO] * m
-        coords[r] = _gs(-q, 0)
-        return ThetaVector(tuple(coords))
-
-    def __add__(self, other: "ThetaVector") -> "ThetaVector":
-        return ThetaVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "ThetaVector") -> "ThetaVector":
-        return ThetaVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c: LaurentPoly | int) -> "ThetaVector":
-        return ThetaVector(tuple(x * c for x in self.coords))
-
-
-def mat_vec(mat: SparseRows, vec: ThetaVector) -> ThetaVector:
-    out = []
-    for row in mat:
-        acc = _ZERO
-        for j, x in row.items():
-            y = vec.coords[j]
-            if not y.is_zero():
-                acc = acc + x * y
-        out.append(acc)
-    return ThetaVector(tuple(out))
 
 
 def _poly_mat_mul(a: SparseRows, b: SparseRows) -> SparseRows:
@@ -142,6 +100,18 @@ def _add(a: SparseRows, b: SparseRows, c: LaurentPoly = _ONE) -> SparseRows:
                 row[j] = z
         out.append(row)
     return out
+
+
+def _scale(a: SparseRows, c: LaurentPoly) -> SparseRows:
+    """c a; c must be nonzero."""
+    return [{j: x * c for j, x in row.items()} for row in a]
+
+
+def _ic(m: int, k: int) -> SparseRows:
+    """IC^k as an m x 1 column, for any integer k, wrapped by
+    IC^{k+m} = g^{-1} IC^k."""
+    q, r = divmod(k, m)
+    return [{0: _gs(-q, 0)} if j == r else {} for j in range(m)]
 
 
 def _dense(mat: SparseRows) -> PolyMatrix:
@@ -331,21 +301,6 @@ def freeness_determinant(m: int) -> LaurentPoly:
 # -- the sheaf-function dictionary ---------------------------------------------
 
 
-def _ls_operator(m: int, i: int, convention: str, shriek: bool) -> SparseRows:
-    """[L_{s_i}] = c (T[i] + d) and [L_{s_i,!}] = c T[i] under one twist
-    convention (see the module docstring)."""
-    if convention == "A":
-        c, d = _S_INV, _ONE
-    elif convention == "B":
-        c, d = -_S_INV, -_V
-    else:
-        raise ValueError(f"convention must be 'A' or 'B', got {convention!r}")
-    t = _matrix(m, f"T[{i}]")
-    if not shriek:
-        t = _add(t, _scalar_matrix(m, d))
-    return [{j: x * c for j, x in row.items()} for row in t]
-
-
 FORMULA_IDS = [
     "L[s_i] on IC^i -> IC^{i+1} + IC^{i-1}",
     "L[s_i,!] on IC^i -> IC^{i+1,!} + IC^{i-1}",
@@ -355,51 +310,40 @@ FORMULA_IDS = [
 ]
 
 
+# [L_{s_i}] = c (T[i] + d) and [L_{s_i,!}] = c T[i]: (c, d) per twist
+# convention (see the module docstring)
+_CONVENTIONS = {"A": (_S_INV, _ONE), "B": (-_S_INV, -_V)}
+
+
 def ic_sheaf_dictionary(m: int, convention: str) -> dict[str, bool]:
     """Evaluate the five formula families of the rank-m theorem through the
     action matrices under one twist convention; True means every instance
     matches."""
-    results: dict[str, bool] = {}
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"convention must be 'A' or 'B', got {convention!r}")
+    c, d = _CONVENTIONS[convention]
+    lift, lift_shriek, off_lift, off_shriek, rotate = FORMULA_IDS
+    ok = dict.fromkeys(FORMULA_IDS, True)
     sum_shift = _S + _S_INV
-    ok1 = ok2 = ok3 = ok4 = True
-    for i in range(1, m + 1):
-        if m < 2:
-            break
-        ls = _ls_operator(m, i, convention, shriek=False)
-        lsq = _ls_operator(m, i, convention, shriek=True)
-        ic_i = ThetaVector.ic(m, i)
-        want1 = ThetaVector.ic(m, i + 1) + ThetaVector.ic(m, i - 1)
-        if mat_vec(ls, ic_i).coords != want1.coords:
-            ok1 = False
-        want2 = (
-            ThetaVector.ic(m, i + 1)
-            - ThetaVector.ic(m, i).scale(_S_INV)
-            + ThetaVector.ic(m, i - 1)
-        )
-        if mat_vec(lsq, ic_i).coords != want2.coords:
-            ok2 = False
+    for i in range(1, m + 1) if m >= 2 else ():
+        lsq = _scale(_matrix(m, f"T[{i}]"), c)
+        ls = _add(lsq, _scalar_matrix(m, c * d))
+        ic_i = _ic(m, i)
+        want = _add(_ic(m, i + 1), _ic(m, i - 1))
+        ok[lift] &= _poly_mat_mul(ls, ic_i) == want
+        ok[lift_shriek] &= _poly_mat_mul(lsq, ic_i) == _add(want, ic_i, -_S_INV)
         for j in range(m):
-            if (j - i) % m == 0:
-                continue
-            ic_j = ThetaVector.ic(m, j)
-            if mat_vec(ls, ic_j).coords != ic_j.scale(sum_shift).coords:
-                ok3 = False
-            if mat_vec(lsq, ic_j).coords != ic_j.scale(_S).coords:
-                ok4 = False
-    results[FORMULA_IDS[0]] = ok1
-    results[FORMULA_IDS[1]] = ok2
-    results[FORMULA_IDS[2]] = ok3
-    results[FORMULA_IDS[3]] = ok4
+            if (j - i) % m:
+                ic_j = _ic(m, j)
+                ok[off_lift] &= _poly_mat_mul(ls, ic_j) == _scale(ic_j, sum_shift)
+                ok[off_shriek] &= _poly_mat_mul(lsq, ic_j) == _scale(ic_j, _S)
     w = _matrix(m, "Tw[1]")
-    ok5 = True
     power = _scalar_matrix(m, _ONE)
     for i in range(1, m + 1):
         power = _poly_mat_mul(w, power)
         for k in range(m):
-            if mat_vec(power, ThetaVector.ic(m, k)).coords != ThetaVector.ic(m, k + i).coords:
-                ok5 = False
-    results[FORMULA_IDS[4]] = ok5
-    return results
+            ok[rotate] &= _poly_mat_mul(power, _ic(m, k)) == _ic(m, k + i)
+    return ok
 
 
 def dictionary_report(m: int) -> dict:
@@ -448,13 +392,6 @@ class OrbitLabel:
     lam: tuple[int, ...]
     subset: tuple[int, ...]
     bij: tuple[int, ...]
-
-
-def s_nm_size(n: int, m: int) -> int:
-    out = 1
-    for t in range(m - n + 1, m + 1):
-        out *= t
-    return out
 
 
 def injection_data(n: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

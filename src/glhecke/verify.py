@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -856,16 +857,14 @@ def _orbit_count(c: _Ctx):
     brute = sum(
         1 for lam in product(range(-bn - 2, br + 3), repeat=n) if theta.condition1_brute(lam, bn, br)
     )
-    want = brute * theta.s_nm_size(n, c.m)
+    want = brute * math.perm(c.m, n)
     return True if len(labels) == want else f"enumerated {len(labels)}, brute force {want}"
 
 
 def _injections(c: _Ctx):
     got = len(theta.injection_data(c.n, c.m))
-    want = 1
-    for t in range(c.m - c.n + 1, c.m + 1):
-        want *= t
-    return True if got == want == theta.s_nm_size(c.n, c.m) else f"{got} != {want}"
+    want = math.perm(c.m, c.n)
+    return True if got == want else f"{got} != {want}"
 
 
 def _representatives(c: _Ctx):

@@ -19,7 +19,7 @@ sigma_i is the rotation sending (1,...,m) to (i+1,...,m,1,...,i).
 Note the sign: with the affine simple reflection fixed as
 s_m = t^{(-1,0,...,0,1)} (1 m), the length-zero elements are t^{-omega_i}
 sigma_i.  The opposite pairing t^{+omega_i} sigma_i (which also appears in
-print) has length 2i(m-i) and is exposed as ``omega_opposite_sign``.
+print) has length 2i(m-i).
 
 Literals ``t[1,0]*p[2,1]*W1^-3`` are read by ``parse_weyl`` on the shared
 ``laurent.TokenCursor``.  Elements are tuples, but tuple ``+`` and integer
@@ -40,7 +40,6 @@ __all__ = [
     "simple_reflection",
     "sigma",
     "omega",
-    "omega_opposite_sign",
     "length",
     "reduced_word",
     "conjugate_simple",
@@ -155,18 +154,6 @@ def omega(m: int, k: int) -> AffineWeylElt:
     q, r = divmod(k, m)
     lam = tuple(-q - (1 if j < r else 0) for j in range(m))
     return AffineWeylElt(lam, sigma(m, r).perm)
-
-
-def omega_opposite_sign(m: int, i: int) -> AffineWeylElt:
-    """The opposite-sign pairing t^{+omega_i} sigma_i.
-
-    Not length-zero: its length is 2i(m-i).  Provided so the alternative
-    printed convention stays constructible; every identity in this package
-    uses ``omega`` instead.
-    """
-    if not 1 <= i <= m:
-        raise ValueError(f"index {i} out of range")
-    return translation([1] * i + [0] * (m - i)) * sigma(m, i)
 
 
 def length(w: AffineWeylElt) -> int:

@@ -10,7 +10,6 @@ or execute this file directly.
 """
 
 import time
-from itertools import product
 
 import pytest
 
@@ -79,26 +78,15 @@ def test_criterion_07_kernel_stability():
 
 
 def test_criterion_08_orbit_combinatorics():
+    # orbit-count, injection-count and representatives at every n <= m <= 4
+    bounds = [(bn, br) for bn in range(4) for br in range(4) if bn + br]
     t0 = time.perf_counter()
-    ok = True
-    for m in range(1, 5):
-        for n in range(1, m + 1):
-            import math
-
-            ok = ok and theta.s_nm_size(n, m) == math.factorial(m) // math.factorial(m - n)
-            for bn in range(0, 4):
-                for br in range(0, 4):
-                    if bn + br == 0:
-                        continue
-                    labels = theta.enumerate_orbits(n, m, bn, br)
-                    brute = sum(
-                        1
-                        for lam in product(range(-bn - 2, br + 3), repeat=n)
-                        if theta.condition1_brute(lam, bn, br)
-                    )
-                    ok = ok and len(labels) == brute * theta.s_nm_size(n, m)
+    checks = [c for b in bounds for c in verify.run_suite("orbits", (1, 4), n=4, bounds=b).checks]
     elapsed = time.perf_counter() - t0
-    assert _report(8, "orbit enumeration vs brute force, n<=m<=4, N,r<=3", ok, elapsed, 5) and elapsed < 5
+    failed = [c for c in checks if c.status != "pass"]
+    assert len(checks) == 450
+    label = "orbit enumeration vs brute force, n<=m<=4, N,r<=3"
+    assert _report(8, label, not failed, elapsed, 5) and elapsed < 5, failed
 
 
 def test_criterion_09_weyl_length_oracle():

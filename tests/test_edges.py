@@ -89,8 +89,6 @@ def test_reflection_bounds():
         weyl.simple_reflection(1, 1)
     with pytest.raises(ValueError):
         HeckeElt.gen(1, 1)
-    with pytest.raises(ValueError):
-        weyl.omega_opposite_sign(3, 0)
 
 
 def test_hecke_printer_edges():

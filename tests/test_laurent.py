@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -357,6 +356,41 @@ def test_functools_cache_is_the_one_memo_idiom():
     assert found == [("theta", "_matrix_cache")]
 
 
+_NOT_INTEGER_NAMES = {"float", "Fraction", "Decimal"}
+_NOT_INTEGER_MODULES = {"fractions", "decimal"}
+
+
+def non_integer_arithmetic(path):
+    """(line, what) for each true division, float constant, float/Fraction/
+    Decimal name and fractions/decimal import in one module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            out.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append((node.lineno, f"float constant {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id in _NOT_INTEGER_NAMES:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _NOT_INTEGER_NAMES:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] in _NOT_INTEGER_MODULES]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in _NOT_INTEGER_MODULES:
+            out.append((node.lineno, node.module))
+    return out
+
+
+def test_package_arithmetic_is_integer_only(tmp_path):
+    # the walker sees each forbidden form
+    probe = tmp_path / "probe.py"
+    probe.write_text("import decimal\nfrom fractions import Fraction\nx = 1 / 2\nx /= 2\ny = 0.5\nz = float(x)\n")
+    assert [what for _, what in non_integer_arithmetic(probe)] == [
+        "decimal", "fractions", "true division", "true division", "float constant 0.5", "float"
+    ]
+    found = {path.stem: non_integer_arithmetic(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
+
+
 # -- orbit sums --------------------------------------------------------------------
 
 
@@ -390,47 +424,14 @@ def test_orbit_sum_symmetric():
         assert is_symmetric(orbit_sum(lam), m)
 
 
-# -- specialization -----------------------------------------------------------------
-
-
-def test_specialize_examples():
-    p = parse_poly(S_PROFILE, "s^2 - 1")
-    assert p.specialize({"s": 1}) == 0
-    q = mono(X2, (1, 0, 0))  # e^(omega_1) for m = 2
-    assert q.specialize({"x1": 2, "x2": 3, "s": 1}) == 2
-    tsm = parse_poly(X2, "s^2*x1*x2^-1 + s^2 - 1")
-    assert tsm.specialize({"s": 3, "x1": 2, "x2": 1}) == 26
-
-
-def test_specialize_rejects_zero():
-    p = LaurentPoly.variable(S_PROFILE, "s", -1)
-    with pytest.raises(ValueError):
-        p.specialize({"s": 0})
-    assert p.specialize({"s": Fraction(2, 3)}) == Fraction(3, 2)
+# -- coefficient sum -----------------------------------------------------------------
 
 
 @settings(max_examples=300)
-@given(polys(X3), st.tuples(*[st.sampled_from([1, -1, 2, Fraction(1, 3)]) for _ in X3]))
-def test_specialize_matches_termwise_fractions(p, values):
-    assignments = dict(zip(X3, values))
-    want = Fraction(0)
-    for key, c in p.terms.items():
-        term = Fraction(c)
-        for e, v in zip(key, values):
-            term *= Fraction(v) ** e
-        want += term
-    got = p.specialize(assignments)
-    assert type(got) is Fraction and got == want
-
-
-def test_specialize_rejects_zero_and_missing():
-    p = parse_poly(X2, "x1 - s^2")
-    with pytest.raises(ValueError, match="assigned zero"):
-        p.specialize({"x1": 1, "x2": 0, "s": 1})
-    with pytest.raises(ValueError, match="unassigned"):
-        p.specialize({"x1": 2, "x2": 1})
-    # a missing variable that never occurs is fine
-    assert p.specialize({"x1": 2, "s": 1}) == 1
+@given(polys(X3))
+def test_coefficient_sum_is_the_value_at_one(p):
+    # sending every variable to the monomial 1 evaluates p at 1
+    assert p.monomial_map(S_PROFILE, [(0,)] * len(X3)) == LaurentPoly.const(S_PROFILE, p.coefficient_sum())
 
 
 # -- grammar -------------------------------------------------------------------------

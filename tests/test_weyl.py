@@ -158,7 +158,8 @@ def test_sigma_omega_structure():
 def test_omega_opposite_sign_lengths():
     for m in (2, 3, 4, 5):
         for i in range(1, m + 1):
-            assert weyl.length(weyl.omega_opposite_sign(m, i)) == 2 * i * (m - i)
+            opposite = weyl.translation([1] * i + [0] * (m - i)) * weyl.sigma(m, i)
+            assert weyl.length(opposite) == 2 * i * (m - i)
 
 
 def test_reduced_word_examples():
