@@ -11,14 +11,19 @@ where DQ is the exact telescoping quotient from ``laurent``.  T-against-T
 products reduce along reduced words with the quadratic relation
 T_s^2 = (v-1) T_s + v.
 
-The affine generator T[m] and the length-zero generators Tw[k] enter through
-their Bernstein expansions:
+The length-zero generators Tw[k] are single Bernstein terms.  For
+0 <= r < m, w_r = t^{-omega_r} sigma_r, so t^{omega_r} w_r = sigma_r; the
+lengths add, len(t^{omega_r}) = r(m-r) = len(sigma_r) and len(w_r) = 0, so
+T_{t^{omega_r}} T_{w_r} = T_{sigma_r}; and omega_r is dominant, so
+T_{t^{omega_r}} = s^{r(m-r)} e^{omega_r}.  Hence
 
-    T_{w_1}      = s^{1-m} e^{-omega_1} T_{sigma_1},
-    T_{w_1}^k    = e^{-q(1,..,1)} T_{w_1}^r   (q, r = divmod(k, m)),
-    T_{s_m}      = T_{w_1}^{-1} T_{s_1} T_{w_1},
+    T_{w_r}      = s^{-r(m-r)} e^{-omega_r} T_{sigma_r},
 
-the second because T_{w_1}^m = e^{-(1,..,1)} is central.
+and since T_{w_1}^m = e^{-(1,..,1)} is central, every power is
+T_{w_1}^k = s^{-r(m-r)} e^lam T_u for w_1^k = t^lam u (``weyl.omega``) and
+r = k mod m.  The affine generator is the product
+
+    T_{s_m}      = T_{w_1}^{-1} T_{s_1} T_{w_1}.
 
 ``t_element`` builds T_w along w = w_1^k s_{i1} ... s_{il} from the left:
 a finite letter is ``right_mul_gen``, and the affine letter uses
@@ -155,9 +160,6 @@ class HeckeElt:
             and self.m == other.m
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.m, tuple(sorted((k, hash(p)) for k, p in self.terms.items()))))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -305,22 +307,12 @@ def _shifted_sum(
 
 # -- Omega generators and the affine node ---------------------------------
 
-def _tw_one(m: int) -> HeckeElt:
-    lam = tuple(-1 if j == 0 else 0 for j in range(m))
-    return HeckeElt.basis(m, lam, weyl.sigma(m, 1).perm, _s_power(1 - m))
-
-
 @cache
 def _tw_power(m: int, k: int) -> HeckeElt:
-    """T_{w_1}^k = e^{-q(1,..,1)} T_{w_1}^r for q, r = divmod(k, m), since
-    T_{w_1}^m = e^{-(1,..,1)} is central."""
-    q, r = divmod(k, m)
-    if q:
-        return HeckeElt.e((-q,) * m) * _tw_power(m, r)
-    res = HeckeElt.one(m)
-    for _ in range(r):
-        res = res * _tw_one(m)
-    return res
+    """T_{w_1}^k = s^{-r(m-r)} e^lam T_u for w_1^k = t^lam u and r = k mod m."""
+    r = k % m
+    lam, u = weyl.omega(m, k)
+    return HeckeElt(m, {(lam, u): _s_power(-r * (m - r))})
 
 
 @cache

@@ -592,10 +592,15 @@ def _t_inverses(c: _Ctx):
 
 
 def _omega_conjugation(c: _Ctx):
+    """Conjugation by Tw[1] shifts T[i] to T[i+1]; first it also pins the
+    closed-form powers by Tw[r] * Tw[1] = Tw[r + 1] for r = -1..m-1."""
     m = c.m
+    w1 = HeckeElt.tw(m, 1)
+    for r in range(-1, m):
+        if HeckeElt.tw(m, r) * w1 != HeckeElt.tw(m, r + 1):
+            return f"Tw[{r}] * Tw[1] != Tw[{r + 1}]"
     if m < 2:
         return True
-    w1 = HeckeElt.tw(m, 1)
     w1i = HeckeElt.tw(m, -1)
     for i in range(1, m + 1):
         j = weyl.conjugate_simple(m, i, 1)

@@ -342,7 +342,7 @@ def test_basis_rejects_wrong_lengths():
 
 
 def test_tw_powers_match_iterated_products():
-    for m in range(1, 5):
+    for m in range(1, 13):
         # T_{w1}^{-1} = s^{1-m} e^{(0,..,0,1)} T_{sigma_1^{-1}}, an independent form
         lam = (0,) * (m - 1) + (1,)
         inv = HeckeElt.basis(m, lam, weyl.sigma(m, m - 1).perm, s_pow(1 - m))
@@ -355,9 +355,29 @@ def test_tw_powers_match_iterated_products():
             for k in range(2 * m + 2):
                 assert HeckeElt.tw(m, sign * k) == power, (m, sign * k)
                 power = power * step
-    # deep powers split off the central part and need no recursion
+    # deep powers are the central e^{-q(1,..,1)} times T_{w1}^r, one term each
     assert HeckeElt.tw(2, 3000) == HeckeElt.e((-1500, -1500))
     assert HeckeElt.tw(3, -3001) == HeckeElt.e((1000, 1000, 1000)) * HeckeElt.tw(3, -1)
+
+
+def test_planted_tw_power_fault_fails_omega_conjugation(monkeypatch, fresh_caches):
+    # a closed form whose coefficient is off by s^2 at r = k mod m = 2; at
+    # m = 3 that is Tw[-1], so the first power pin reports it
+    closed = hecke._tw_power
+
+    def off_by_v(m, k):
+        return closed(m, k).scale(V) if k % m == 2 else closed(m, k)
+
+    monkeypatch.setattr(hecke, "_tw_power", off_by_v)
+    check = verify.run_check("hecke", "omega-conjugation", 3)
+    assert check.status == "fail"
+    assert check.counterexample == "Tw[-1] * Tw[1] != Tw[0]"
+    for stem in ("module-isomorphism", "module-relations"):
+        assert verify.run_check("main-theorem", stem, 3).status == "fail", stem
+    # blind to the fault: specialization-s1 sends s -> 1, which hides the
+    # coefficient, and associativity multiplies basis triples without any Tw
+    for stem in ("specialization-s1", "associativity"):
+        assert verify.run_check("hecke", stem, 3).status == "pass", stem
 
 
 def test_hecke_arithmetic_honours_term_cap(monkeypatch):
