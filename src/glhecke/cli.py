@@ -64,6 +64,10 @@ def _count(text: str) -> int:
     return value
 
 
+# argparse reads a separate "-1,2" as an option, so a negative N goes after "="
+BOUNDS_HELP = "N,r, the box -N <= lambda_i <= r; a negative N is written --bounds=-1,2"
+
+
 def _bounds(text: str) -> tuple[int, int]:
     """Validate ``--bounds``: ``N,r`` with N + r > 0."""
     lo, _, hi = text.partition(",")
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_count, default=1000, help="randomized case count")
     p.add_argument("--n", type=_count, default=1, help="orbits: max first-factor rank")
-    p.add_argument("--bounds", type=_bounds, default="0,1", help="orbits: N,r")
+    p.add_argument("--bounds", type=_bounds, default="0,1", help=f"orbits: {BOUNDS_HELP}")
     p.add_argument("--json", help="write the canonical JSON report here")
     p.add_argument("--timings", action="store_true", help="keep elapsed_ms in JSON")
     p.add_argument("--progress", action="store_true", help="print each finished check on stderr")
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="orbit labels for the (GL_n, GL_m) pair")
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--m", type=_m_single, required=True)
-    p.add_argument("--bounds", type=_bounds, required=True, help="N,r")
+    p.add_argument("--bounds", type=_bounds, required=True, help=BOUNDS_HELP)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=_cmd_orbits)
     return parser

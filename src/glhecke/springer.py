@@ -57,7 +57,6 @@ suite proves the stability from them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -95,8 +94,7 @@ def _gs(gexp: int, sexp: int, coeff: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(GS_PROFILE, (gexp, sexp), coeff)
 
 
-@dataclass(frozen=True)
-class FixedFlagTable:
+class FixedFlagTable(NamedTuple):
     """Graded-line weights of the m fixed flags.
 
     ``weights[k][j]`` is the (g, s)-exponent pair of F_{j+1}/F_j at the fixed
@@ -152,12 +150,24 @@ def build_fixed_flags(m: int) -> FixedFlagTable:
     return FixedFlagTable(m, tuple(flags), tuple(weights), steps)
 
 
-@dataclass(frozen=True)
 class KClass:
     """An element of the K-module, recorded by its fixed-point tuple.  Its
-    coordinates in the theorem basis are derived once, on demand."""
+    coordinates in the theorem basis are derived once, on demand; equality
+    and the hash read the entries alone."""
 
-    entries: tuple[LaurentPoly, ...]
+    def __init__(self, entries: tuple[LaurentPoly, ...]) -> None:
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KClass):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"KClass(entries={self.entries!r})"
 
     @property
     def m(self) -> int:
@@ -328,8 +338,7 @@ def res_sigma(p: LaurentPoly, m: int) -> LaurentPoly:
 LUSZTIG_DENOMINATOR = LaurentPoly.from_terms(GS_PROFILE, (((0, 2), -1), ((0, 0), 1)))
 
 
-@dataclass(frozen=True)
-class BasisTables:
+class BasisTables(NamedTuple):
     """Solved Lusztig tuples, as numerators over LUSZTIG_DENOMINATOR = 1 - s^2,
     theorem tuples, and the determinant of the change-of-basis system."""
 

@@ -32,8 +32,8 @@ the bounds (N, r) form the box -N <= lam_i <= r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 from . import springer
 from .hecke import HeckeElt, parse_hecke
@@ -384,8 +384,7 @@ def dictionary_report(m: int) -> dict:
 # -- orbit combinatorics --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     """A cocharacter in Z^n and an injection datum: subset holds I_s as a
     sorted tuple of 1-based columns, bij[t] is the value s(subset[t]) in 1..n."""
 

@@ -25,14 +25,12 @@ random basis triples as the end-to-end oracle.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import polyrep, springer, theta, weyl
 from .hecke import ONE_MINUS_V, HeckeElt, V, V_MINUS_1, perm_word, t_element, t_inverse
@@ -50,8 +48,7 @@ from .laurent import (
 __all__ = ["Check", "VerificationReport", "run_suite", "run_check", "report_json", "report_text", "SUITES"]
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     id: str
     anchor: str
     status: str  # pass | fail | error | convention-A | convention-B
@@ -60,13 +57,16 @@ class Check:
     error: str | None = None  # the resource limit an ``error`` check hit
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    m_range: tuple[int, int]
-    seed: int
-    checks: list[Check] = field(default_factory=list)
-    schema: int = 1
+    schema = 1
+
+    def __init__(
+        self, suite: str, m_range: tuple[int, int], seed: int, checks: list[Check] | None = None
+    ) -> None:
+        self.suite = suite
+        self.m_range = m_range
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     @property
     def failed(self) -> bool:
@@ -78,6 +78,8 @@ class VerificationReport:
 
 
 def _rng(seed: int, suite: str, check_id: str, m: int) -> random.Random:
+    import hashlib  # on the first draw: it loads OpenSSL, which suites that draw nothing skip
+
     digest = hashlib.sha256(f"{seed}:{suite}:{check_id}:{m}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -122,9 +124,9 @@ def report_text(report: VerificationReport) -> str:
 # -- random element generation ---------------------------------------------------
 
 
-def _random_basis(m: int, rng: random.Random) -> HeckeElt:
-    """e^lam T_w with lam in {-1, 0, 1}^m and coefficient 1; w is uniform in
-    S_m at m <= 4 and a product of at most three adjacent transpositions
+def _random_basis(m: int, rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (lam, w) of e^lam T_w with lam in {-1, 0, 1}^m; w is uniform
+    in S_m at m <= 4 and a product of at most three adjacent transpositions
     above, where one triple product of uniform draws can take seconds."""
     lam = tuple(rng.randint(-1, 1) for _ in range(m))
     perm = list(range(m))
@@ -134,7 +136,7 @@ def _random_basis(m: int, rng: random.Random) -> HeckeElt:
         for _ in range(rng.randint(0, 3)):
             i = rng.randint(0, m - 2)
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return HeckeElt.basis(m, lam, tuple(perm))
+    return lam, tuple(perm)
 
 
 def _random_weyl(m: int, rng: random.Random, bound: int = 2) -> weyl.AffineWeylElt:
@@ -518,7 +520,8 @@ def _associativity(c: _Ctx):
     e^lam T_w with coefficient 1 check associativity directly: their
     products reach exponents outside the box, and trilinearity of the
     product (a Hypothesis property in the tests) extends the check from
-    basis triples to all triples."""
+    basis triples to all triples.  A failing triple is reported with its 3m
+    translation entries shrunk toward 0 and its three permutations kept."""
     m = c.m
     rng = c.rng("associativity")
     one = HeckeElt.one(m)
@@ -543,11 +546,20 @@ def _associativity(c: _Ctx):
         bad = _left_relation_failure(m, b)
         if bad:
             return f"{bad} b={b}"
+
+    def basis(lam: tuple[int, ...], u: tuple[int, ...]) -> HeckeElt:
+        return HeckeElt.basis(m, lam, u)
+
     for _ in range(c.cases):
-        a, b, d = (_random_basis(m, rng) for _ in range(3))
-        if (a * b) * d != a * (b * d):
+        triple = [_random_basis(m, rng) for _ in range(3)]
+        if not _associates(*(basis(*f) for f in triple)):
+            a, b, d = _shrink_factors(triple, basis, _associates)
             return f"associativity failure: a={a}, b={b}, c={d}"
     return True
+
+
+def _associates(a: HeckeElt, b: HeckeElt, d: HeckeElt) -> bool:
+    return (a * b) * d == a * (b * d)
 
 
 def _specializes(w1: weyl.AffineWeylElt, w2: weyl.AffineWeylElt) -> bool:
@@ -561,22 +573,26 @@ def _specialization(c: _Ctx):
         w1 = _random_weyl(c.m, rng, bound=1)
         w2 = _random_weyl(c.m, rng, bound=1)
         if not _specializes(w1, w2):
-            w1, w2 = _shrink_pair(w1, w2)
+            w1, w2 = _shrink_factors((w1, w2), weyl.AffineWeylElt, _specializes)
             return f"s->1 group algebra failure at {w1} * {w2}"
     return True
 
 
-def _shrink_pair(
-    w1: weyl.AffineWeylElt, w2: weyl.AffineWeylElt
-) -> tuple[weyl.AffineWeylElt, weyl.AffineWeylElt]:
-    """``_shrink`` the translations of a failing pair as one vector of 2m
-    entries, keeping both permutations."""
-    m = w1.m
+def _shrink_factors(
+    factors: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+    build: Callable,
+    holds: Callable[..., bool],
+) -> list:
+    """``_shrink`` the translations of the failing factors (lam, w) as one
+    vector, keeping every w, and return the factors ``build(lam, w)``, on
+    which ``holds`` is false."""
+    m = len(factors[0][0])
 
-    def pair(lam: tuple[int, ...]) -> tuple[weyl.AffineWeylElt, weyl.AffineWeylElt]:
-        return weyl.AffineWeylElt(lam[:m], w1.perm), weyl.AffineWeylElt(lam[m:], w2.perm)
+    def rebuild(lam: tuple[int, ...]) -> list:
+        return [build(lam[k * m : (k + 1) * m], w) for k, (_, w) in enumerate(factors)]
 
-    return pair(_shrink(w1.trans + w2.trans, lambda lam: not _specializes(*pair(lam))))
+    flat = tuple(x for lam, _ in factors for x in lam)
+    return rebuild(_shrink(flat, lambda lam: not holds(*rebuild(lam))))
 
 
 def _t_inverses(c: _Ctx):

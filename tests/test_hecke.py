@@ -254,6 +254,43 @@ def test_specialization_reports_a_minimal_counterexample(monkeypatch, m):
     assert sorted(lam) == [0] * (2 * m - 1) + [1], lam
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_associativity_reports_a_minimal_triple(monkeypatch, fresh_caches, m):
+    # a planted product that drops the negative entries of every shift e^lam
+    # keeps the box relations, whose shifts are units, and breaks random
+    # triples; the reported triple must still fail, and moving any one of its
+    # 3m translation entries one step toward 0 must make it associate
+    true_shifted_sum = hecke._shifted_sum
+
+    def clamped(m, parts):
+        return true_shifted_sum(m, ((tuple(max(x, 0) for x in lam), c, x) for lam, c, x in parts))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hecke, "_shifted_sum", clamped)
+        check = verify.run_check("hecke", "associativity", m)
+    assert check.status == "fail"
+    found = re.fullmatch(r"associativity failure: a=(.*), b=(.*), c=(.*)", check.counterexample)
+    assert found, check.counterexample
+    triple = []  # parsed with the true product, since e[lam]*T[i] is itself a shift
+    for k in (1, 2, 3):
+        ((lam, u), coeff), = parse_hecke(m, found.group(k)).terms.items()
+        assert coeff == ONE_S, check.counterexample
+        triple.append((lam, u))
+
+    def associates(lam):
+        return verify._associates(
+            *(HeckeElt.basis(m, lam[k * m : (k + 1) * m], u) for k, (_, u) in enumerate(triple))
+        )
+
+    monkeypatch.setattr(hecke, "_shifted_sum", clamped)
+    lam = sum((t[0] for t in triple), ())
+    assert not associates(lam)
+    for j, x in enumerate(lam):
+        if x:
+            step = lam[:j] + (x - (1 if x > 0 else -1),) + lam[j + 1 :]
+            assert associates(step), (triple, step)
+
+
 def _random_s_poly(rng):
     items = []
     for _ in range(rng.randint(1, 2)):

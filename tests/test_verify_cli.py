@@ -244,6 +244,10 @@ def test_cli_theta_matrices_golden(m, tmp_path):
 def test_cli_orbits():
     proc = run_cli("orbits", "--n", "1", "--m", "2", "--bounds", "0,1", "--count-only")
     assert proc.stdout.strip() == "4"
+    # argparse would read a separate "-1,2" as an option; after "=" it is the
+    # value, N = -1, and the box is 1 <= lambda <= 2: 2 values x 2 injections
+    proc = run_cli("orbits", "--n", "1", "--m", "2", "--bounds=-1,2", "--count-only")
+    assert proc.returncode == 0 and proc.stdout.strip() == "4"
     proc = run_cli("orbits", "--n", "1", "--m", "3", "--bounds", "0,2")
     payload = json.loads(proc.stdout)
     assert payload["count"] == 3 * 3  # lam in {0,1,2} x |S_(1,3)| = 3
@@ -358,3 +362,34 @@ def test_cli_failure_takes_precedence_over_error(monkeypatch, capsys):
     report.checks = checks[:1]
     assert main(["verify", "hecke", "--m", "2"]) == 3
     assert "result: ERROR" in capsys.readouterr().out
+
+
+# what the package loads, not what the interpreter's site loaded before it
+IMPORT_GUARD = """
+import sys
+before = set(sys.modules)
+from glhecke.cli import main
+seen = [sorted({"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - before))]
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["main-theorem", "--m", "1..2"], ["hecke", "--m", "2", "--cases", "5"]):
+        assert main(["verify", *argv]) == 0
+        seen.append("hashlib" in set(sys.modules) - before)
+print(seen)
+"""
+
+
+def test_cli_import_loads_no_dataclasses_or_hashlib():
+    # startup dominates a small-rank run, so the CLI loads neither the
+    # dataclasses machinery (with inspect) nor hashlib (with OpenSSL) on
+    # import; hashlib comes in with the first seeded draw, which main-theorem
+    # never makes and hecke does
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": SRC},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[[], False, True]"
