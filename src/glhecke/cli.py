@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", type=_bounds, default="0,1", help=f"orbits: {BOUNDS_HELP}")
     p.add_argument("--json", help="write the canonical JSON report here")
     p.add_argument("--timings", action="store_true", help="keep elapsed_ms in JSON")
-    p.add_argument("--progress", action="store_true", help="print each finished check on stderr")
+    p.add_argument("--progress", action="store_true", help="print each finished check on stderr, in table order")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate '<hecke-literal> * <poly-literal>'")

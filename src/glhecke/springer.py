@@ -259,11 +259,13 @@ def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPo
     coords = []
     x0 = entries[-1]
     for i, (b, diff) in enumerate(steps, start=1):
-        q = (entries[i - 1] - entries[i]).div_exact(diff)
-        if q is None:
-            raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
+        q = entries[i - 1] - entries[i]
+        if not q.is_zero():
+            q = q.div_exact(diff)
+            if q is None:
+                raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
+            x0 = x0 - b * q
         coords.append(q)
-        x0 = x0 - b * q
     return (x0, *coords)
 
 
@@ -309,13 +311,14 @@ def k_act(h: HeckeElt, c: KClass) -> KClass:
     """Act by a Hecke element: sum_i c_i * pushdown(h * l_i) over the nonzero
     theorem-basis coordinates c_i of the class."""
     m = c.m
-    entries = (LaurentPoly.zero(GS_PROFILE),) * m
+    entries = None
     for i, ci in enumerate(c.coords):
         if ci.is_zero():
             continue
-        pushed = pushdown_poly(m, polyrep.act(h, _basis_lift(m, i)))
-        entries = tuple(e + ci * p for e, p in zip(entries, pushed))
-    return KClass(entries)
+        # ci * p is p itself when ci = 1, so a basis class gets its pushdown
+        scaled = tuple(ci * p for p in pushdown_poly(m, polyrep.act(h, _basis_lift(m, i))))
+        entries = scaled if entries is None else tuple(e + p for e, p in zip(entries, scaled))
+    return KClass(entries or (LaurentPoly.zero(GS_PROFILE),) * m)
 
 
 def res_sigma(p: LaurentPoly, m: int) -> LaurentPoly:

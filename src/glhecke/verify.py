@@ -11,6 +11,24 @@ Each check is one module-level function, registered in the ordered table of
 every suite that runs it with the suite's own id stem, anchor and rank
 range; ``run_suite`` runs a table and ``run_check`` runs one entry by id.
 
+``run_suite`` runs its (check, rank) units on every CPU in the process's
+affinity mask: the process itself and one forked helper per further CPU
+take unit indices from one shared queue, the largest rank first and table
+order within a rank, and the helpers send each finished ``Check`` back as
+JSON.  The report does not depend on how many processes ran it or on which
+one ran a unit.  A unit's result is a function of its check and its
+``_Ctx`` alone: its draws come from the generator keyed by (seed, suite,
+check id, m), and every table it reads (the ``functools.cache`` tables and
+``theta._matrix_cache``) holds a pure function of the rank, so a table that
+one process filled and another did not gives the same values.  The only
+field that varies, ``elapsed_ms``, is left out of the canonical JSON, and
+the parent puts the checks in table order, so the text report, the JSON
+and the exit code are those of a serial run.  A helper that dies costs only
+the unit it was running, which is reported as an ``error`` with the exit
+status.  With one CPU in the mask (``taskset -c 0``), or where ``os.fork``,
+``os.sched_getaffinity`` or ``os.memfd_create`` is missing, nothing is
+forked.
+
 The Hecke product is proved associative through its left operators
 (``_associativity``).  ``HeckeElt.__mul__`` computes a*b as the sum of
 c e^lam L_w(b) over the terms c e^lam T_w of a, with L_w the product of the
@@ -27,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
 from itertools import combinations, permutations, product
@@ -269,6 +288,9 @@ class _Spec(NamedTuple):
     def covers(self, m: int) -> bool:
         return self.lo <= m and (self.hi is None or m <= self.hi)
 
+    def check_id(self, c: _Ctx) -> str:
+        return self.stem + self.tail.format(m=c.m, n=c.n, N=c.bounds[0], r=c.bounds[1])
+
 
 def _run(spec: _Spec, c: _Ctx) -> Check:
     """Time one check and classify its result: True passes, a
@@ -276,7 +298,7 @@ def _run(spec: _Spec, c: _Ctx) -> Check:
     as the counterexample, and a crash fails with the exception.  A
     resource limit (term cap, memory, recursion depth) decides nothing about
     the identity, so it is an ``error`` and not a counterexample."""
-    id_ = spec.stem + spec.tail.format(m=c.m, n=c.n, N=c.bounds[0], r=c.bounds[1])
+    id_ = spec.check_id(c)
     t0 = time.perf_counter()
     error = None
     try:
@@ -994,19 +1016,154 @@ def run_suite(
     progress: Callable[[Check], object] | None = None,
 ) -> VerificationReport:
     """Run one named suite over the m-range; deterministic given all inputs.
-    ``progress``, if given, is called with each check as it finishes."""
+    ``progress``, if given, is called with each check in table order as
+    soon as it and every check before it have finished."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if m_range[0] > m_range[1] or m_range[0] < 1:
         raise ValueError("empty or invalid m range")
-    report = VerificationReport(suite, m_range, seed)
-    for m in range(m_range[0], m_range[1] + 1):
+    units = [
+        (spec, _Ctx(suite, m, seed, cases, nn, bounds))
+        for m in range(m_range[0], m_range[1] + 1)
         # the orbit checks run once for each first-factor rank up to min(n, m)
-        for nn in range(1, min(n, m) + 1) if suite == "orbits" else (n,):
-            c = _Ctx(suite, m, seed, cases, nn, bounds)
-            for spec in _TABLES[suite]:
-                if spec.covers(m):
-                    report.checks.append(_run(spec, c))
-                    if progress:
-                        progress(report.checks[-1])
-    return report
+        for nn in (range(1, min(n, m) + 1) if suite == "orbits" else (n,))
+        for spec in _TABLES[suite]
+        if spec.covers(m)
+    ]
+    checks: list[Check | None] = [None] * len(units)
+    shown = 0
+
+    def settle(k: int, check: Check) -> None:
+        nonlocal shown
+        checks[k] = check
+        while shown < len(checks) and checks[shown] is not None:
+            if progress:
+                progress(checks[shown])
+            shown += 1
+
+    helpers = min(_cpu_count(), len(units)) - 1
+    if helpers > 0:
+        _run_forked(units, settle, helpers)
+        for k in [k for k, check in enumerate(checks) if check is None]:
+            # taken by a helper that died before it could say so
+            spec, c = units[k]
+            settle(k, Check(spec.check_id(c), spec.anchor, "error", error="no process reported this check"))
+    else:
+        for k, unit in enumerate(units):
+            settle(k, _run(*unit))
+    return VerificationReport(suite, m_range, seed, checks)
+
+
+# -- running units on every CPU ---------------------------------------------------------
+
+
+def _cpu_count() -> int:
+    """How many processes run a suite: the CPUs in the affinity mask, or 1
+    where helpers cannot be forked."""
+    if not all(hasattr(os, f) for f in ("fork", "sched_getaffinity", "memfd_create")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _claim(queue: int) -> int | None:
+    """The next unit index from the queue, or None when it is empty.  The
+    processes share the queue's file offset, and the kernel advances it
+    atomically on each read of a regular file."""
+    raw = os.read(queue, 4)
+    return int.from_bytes(raw, "little") if raw else None
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _helper(units: list[tuple[_Spec, _Ctx]], queue: int, out: int, parent: int) -> None:
+    """The loop of a forked helper: claim a unit, say so on ``out``, run it
+    and send ``index JSON``; stop when the queue is empty or the parent has
+    gone.  It never returns, so no code of the parent runs twice."""
+    code = 1
+    try:
+        while os.getppid() == parent and (k := _claim(queue)) is not None:
+            _write_all(out, b"%d\n" % k)
+            check = _run(*units[k])
+            _write_all(out, b"%d %s\n" % (k, json.dumps(check).encode()))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(
+    units: list[tuple[_Spec, _Ctx]], settle: Callable[[int, Check], None], helpers: int
+) -> None:
+    """Run the units here and on ``helpers`` forked processes, all taking
+    indices from one queue, and ``settle`` each result.  The queue is a
+    memory file, which holds any number of indices where a pipe would block
+    at 64 KiB; each helper answers on a pipe of its own, which this process
+    drains between its own units.  Every helper is killed if still running
+    and reaped before this returns or raises."""
+    import select
+    import signal
+
+    order = sorted(range(len(units)), key=lambda k: -units[k][1].m)
+    queue = os.memfd_create("glhecke-units")
+    live: dict[int, list] = {}  # read end -> [pid, unread bytes, claimed unit]
+    try:
+        _write_all(queue, b"".join(k.to_bytes(4, "little") for k in order))
+        os.lseek(queue, 0, os.SEEK_SET)
+        parent = os.getpid()
+        for _ in range(helpers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: run with the helpers there are
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _helper(units, queue, w, parent)
+            os.close(w)
+            live[r] = [pid, b"", None]
+
+        def drain(timeout: int | None) -> None:
+            ready, _, _ = select.select(list(live), [], [], timeout)
+            for r in ready:
+                pid, rest, claimed = live[r]
+                data = os.read(r, 1 << 16)
+                if data:
+                    *lines, rest = (rest + data).split(b"\n")
+                    for line in lines:
+                        k, _, payload = line.partition(b" ")
+                        if payload:
+                            settle(int(k), Check(*json.loads(payload)))
+                            claimed = None
+                        else:
+                            claimed = int(k)
+                    live[r] = [pid, rest, claimed]
+                    continue
+                _, status = os.waitpid(pid, 0)
+                del live[r]
+                os.close(r)
+                if claimed is not None:
+                    spec, c = units[claimed]
+                    code = os.waitstatus_to_exitcode(status)
+                    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    error = f"the helper process running this check {ended}"
+                    settle(claimed, Check(spec.check_id(c), spec.anchor, "error", error=error))
+
+        while (k := _claim(queue)) is not None:
+            settle(k, _run(*units[k]))
+            if live:
+                drain(0)
+        while live:
+            drain(None)
+    finally:
+        os.close(queue)
+        for r, (pid, _, _) in live.items():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            os.close(r)

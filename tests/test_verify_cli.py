@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -78,6 +80,129 @@ def test_planted_kact_fault_fails_every_suite_that_lists_it(monkeypatch, fresh_c
         report = verify.run_suite(suite, (2, 2), seed=0, cases=10)
         statuses = {c.id: c.status for c in report.checks}
         assert {statuses[i] for i in ids} == {"fail"}, (suite, statuses)
+
+
+def _cpus(monkeypatch, n):
+    """Run suites on n processes, whatever the machine has."""
+    monkeypatch.setattr(verify, "_cpu_count", lambda: n)
+
+
+def _wait_for(path, seconds=60):
+    """Wait in the parent until a helper has made ``path``; ``pytest.fail``
+    is no ``Exception``, so it stops the whole run, not just the check."""
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        if time.monotonic() > deadline:
+            pytest.fail(f"no helper made {path.name}")
+        time.sleep(0.01)
+
+
+def test_helpers_give_the_serial_report(monkeypatch, fresh_caches):
+    # each unit's result depends on its check and context alone; the
+    # helpers' run goes first, on cold caches, and forks exactly its helpers
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for args in (("hecke", (1, 3), 0, 100), ("main-theorem", (1, 6), 0)):
+        _cpus(monkeypatch, 3)
+        forked = verify.report_json(verify.run_suite(*args))
+        assert len(forks) == 2
+        _cpus(monkeypatch, 1)
+        assert verify.report_json(verify.run_suite(*args)) == forked, args[0]
+        assert len(forks) == 2  # one CPU: nothing is forked
+        forks.clear()
+
+
+def test_planted_fault_fails_in_a_helper(monkeypatch, fresh_caches, tmp_path):
+    # the parent holds its first k_act call until a helper has made one, so
+    # a helper surely runs a faulty unit; every one of them must fail
+    marker = tmp_path / "helper-ran"
+    parent = os.getpid()
+    true_k_act = springer.k_act
+
+    def faulty(h, c):
+        if os.getpid() == parent:
+            _wait_for(marker)
+        else:
+            marker.touch()
+        return true_k_act(h, c) + springer.structure_sheaf(c.m)
+
+    monkeypatch.setattr(springer, "k_act", faulty)
+    _cpus(monkeypatch, 2)
+    report = verify.run_suite("main-theorem", (2, 3))
+    statuses = {c.id: c.status for c in report.checks}
+    faulty_ids = {f"{stem}-m{m}" for stem in ("module-isomorphism", "module-relations") for m in (2, 3)}
+    assert {statuses[i] for i in faulty_ids} == {"fail"}, statuses
+
+
+def test_a_check_that_kills_its_helper_is_an_error(monkeypatch, tmp_path):
+    # a helper takes one `kill` unit and dies; the parent runs the rest
+    marker = tmp_path / "killed"
+    parent = os.getpid()
+
+    def kill(c):
+        if os.getpid() == parent:
+            _wait_for(marker)
+            return True
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    table = (verify._Spec("kill", kill, "x"), verify._Spec("quadratic", verify._quadratic, "y"))
+    monkeypatch.setitem(verify._TABLES, "hecke", table)
+    _cpus(monkeypatch, 2)
+    report = verify.run_suite("hecke", (1, 3))
+    assert [c.id for c in report.checks] == [f"{s}-m{m}" for m in (1, 2, 3) for s in ("kill", "quadratic")]
+    errors = [c for c in report.checks if c.status != "pass"]
+    assert len(errors) == 1 and errors[0].id.startswith("kill-"), report.checks
+    assert errors[0].status == "error"
+    assert errors[0].error == "the helper process running this check was killed by signal 9"
+    assert verify.report_text(report).endswith("result: ERROR\n")
+
+
+MANY_UNITS = """
+from glhecke import verify
+verify._cpu_count = lambda: 2
+verify._TABLES["hecke"] = tuple(verify._Spec(f"t{i}", lambda c: True, "x") for i in range(7))
+report = verify.run_suite("hecke", (1, 10000))
+want = [f"t{i}-m{m}" for m in range(1, 10001) for i in range(7)]
+print([c.id for c in report.checks] == want, {c.status for c in report.checks})
+"""
+
+
+def test_more_units_than_a_pipe_holds_do_not_hang():
+    # 70,000 unit indices are more than 64 KiB even at one byte each
+    proc = subprocess.run(
+        [sys.executable, "-c", MANY_UNITS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "True {'pass'}", proc.stderr
+
+
+class _Stop(BaseException):
+    """Raised by a check in the parent, past ``_run``'s handlers."""
+
+
+def test_no_helper_outlives_run_suite(monkeypatch):
+    _cpus(monkeypatch, 3)
+    verify.run_suite("main-theorem", (1, 4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    parent = os.getpid()
+
+    def stop(c):
+        if os.getpid() == parent:
+            raise _Stop
+        time.sleep(0.2)  # the helpers are still busy when the parent stops
+        return True
+
+    monkeypatch.setitem(verify._TABLES, "hecke", (verify._Spec("stop", stop, "x"),))
+    with pytest.raises(_Stop):
+        verify.run_suite("hecke", (1, 12))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_canonical_reports_match_golden():
@@ -323,16 +448,21 @@ def test_cli_term_cap_hit_is_an_error_not_a_counterexample(tmp_path):
 
 def test_cli_progress_writes_only_to_stderr(monkeypatch, tmp_path, capsys):
     # elapsed times are frozen at 0 ms, so the two stdouts compare exactly
+    # and helpers change neither: the lines come in table order
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     runs = []
-    for flag in ([], ["--progress"]):
-        out = tmp_path / f"report{len(runs)}.json"
-        assert main(["verify", "hecke", "--m", "1..2", "--cases", "5", "--json", str(out), *flag]) == 0
-        runs.append((capsys.readouterr(), out.read_bytes()))
-    (quiet, quiet_json), (loud, loud_json) = runs
-    assert loud.out == quiet.out and loud_json == quiet_json
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for flag in ([], ["--progress"]):
+            out = tmp_path / f"report{len(runs)}.json"
+            assert main(["verify", "hecke", "--m", "1..2", "--cases", "5", "--json", str(out), *flag]) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+    (quiet, quiet_json), (loud, loud_json) = runs[:2]
     assert quiet.err == ""
+    for cap, report in runs:
+        assert cap.out == quiet.out and report == quiet_json
     ids = [c["id"] for c in json.loads(quiet_json)["checks"]]
+    assert [cap.err for cap, _ in runs] == ["", loud.err] * 2
     assert loud.err.splitlines() == [f"{i}: pass (0 ms)" for i in ids]
 
 
@@ -368,13 +498,18 @@ def test_cli_failure_takes_precedence_over_error(monkeypatch, capsys):
 IMPORT_GUARD = """
 import sys
 before = set(sys.modules)
+from glhecke import verify
 from glhecke.cli import main
-seen = [sorted({"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - before))]
+heavy = {"dataclasses", "inspect", "hashlib", "multiprocessing", "concurrent.futures"}
+seen = [sorted(heavy & (set(sys.modules) - before))]
 import contextlib, io
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["main-theorem", "--m", "1..2"], ["hecke", "--m", "2", "--cases", "5"]):
+    # with helpers, then serially, so the parent makes hecke's first draw
+    for cpus, argv in ((2, ["main-theorem", "--m", "1..2"]), (1, ["hecke", "--m", "2", "--cases", "5"])):
+        verify._cpu_count = lambda: cpus
         assert main(["verify", *argv]) == 0
         seen.append("hashlib" in set(sys.modules) - before)
+seen.append(sorted((heavy - {"hashlib"}) & (set(sys.modules) - before)))
 print(seen)
 """
 
@@ -383,7 +518,8 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
     # startup dominates a small-rank run, so the CLI loads neither the
     # dataclasses machinery (with inspect) nor hashlib (with OpenSSL) on
     # import; hashlib comes in with the first seeded draw, which main-theorem
-    # never makes and hecke does
+    # never makes and hecke does; the helpers are forked by hand, so neither
+    # multiprocessing nor concurrent.futures is loaded, on import or after
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD],
@@ -392,4 +528,4 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
         env={**env, "PYTHONPATH": SRC},
         check=True,
     )
-    assert proc.stdout.strip() == "[[], False, True]"
+    assert proc.stdout.strip() == "[[], False, True, []]"
