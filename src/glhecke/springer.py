@@ -47,7 +47,8 @@ suite proves the stability from them:
     lies in I; m(m-1) of the G_ji are nonzero.
   * The R-span of the l_k plus the ideal (G) contains 1 and is closed under
     each x_j and each x_j^-1 = D^-1 prod_{k != j} x_k, so it is all of P.
-    Freeness of the theorem basis (det V != 0) then gives I = (G).
+    Freeness of the theorem basis (every step factor a_i - b_i of
+    ``_theorem_data`` is nonzero) then gives I = (G).
   * H is generated by T_1, ..., T_{m-1} and the e^{+-eps_j}, which
     ``polyrep.act`` composes.  P is free over the s_i-invariants with basis
     {1, x_i}, and T_i is linear over them, so I is H-stable iff T_i G,
@@ -153,7 +154,7 @@ def build_fixed_flags(m: int) -> FixedFlagTable:
 class KClass:
     """An element of the K-module, recorded by its fixed-point tuple.  Its
     coordinates in the theorem basis are derived once, on demand; equality
-    and the hash read the entries alone."""
+    reads the entries alone."""
 
     def __init__(self, entries: tuple[LaurentPoly, ...]) -> None:
         self.entries = entries
@@ -162,9 +163,6 @@ class KClass:
         if not isinstance(other, KClass):
             return NotImplemented
         return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"KClass(entries={self.entries!r})"
@@ -194,11 +192,12 @@ def restrict_line_bundle(m: int, lam) -> KClass:
     if len(lam) != m:
         raise ValueError("cocharacter length mismatch")
     table = build_fixed_flags(m)
+    support = [(j, lj) for j, lj in enumerate(lam) if lj]
     entries = []
-    for k in range(m):
+    for row in table.weights:
         ge = se = 0
-        for j, lj in enumerate(lam):
-            wg, ws = table.weights[k][j]
+        for j, lj in support:
+            wg, ws = row[j]
             ge += wg * lj
             se += ws * lj
         entries.append(_gs(ge, se))
@@ -218,35 +217,27 @@ def theorem_basis(m: int) -> tuple[KClass, ...]:
     )
 
 
-class _TheoremData(NamedTuple):
-    """The step shape of V, where V[k][i] is the entry of B_i at p_{k+1}.
-
-    Column 0 of V is all ones, and column i >= 1 is a_i on the rows k < i
-    and b_i on the rows k >= i, so rows k-1 and k differ only in column k.
-    ``steps[i-1]`` is the pair (b_i, a_i - b_i), and
-    det V = (-1)^(m-1) prod_i (a_i - b_i)."""
-
-    steps: list[tuple[LaurentPoly, LaurentPoly]]
-    det: LaurentPoly
-
-
 @cache
-def _theorem_data(m: int) -> _TheoremData:
-    """The steps and det V of rank m, built on first use; raises
-    AssertionError when V does not have the step shape."""
+def _theorem_data(m: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
+    """The step shape of V, where V[k][i] is the entry of B_i at p_{k+1}:
+    column 0 is all ones, and column i >= 1 is a_i on the rows k < i and b_i
+    on the rows k >= i, so rows k-1 and k differ only in column k.  Entry
+    i-1 is the pair (b_i, a_i - b_i); raises AssertionError when V does not
+    have the step shape or a step is flat.
+
+    So det V = (-1)^(m-1) prod_i (a_i - b_i), which is never multiplied out:
+    Z[g^+-1, s^+-1] is a domain, so det V != 0 exactly when every factor
+    a_i - b_i is nonzero, which this function asserts."""
     cols = [b.entries for b in theorem_basis(m)]
-    one = LaurentPoly.one(GS_PROFILE)
-    if cols[0] != (one,) * m:
+    if cols[0] != (LaurentPoly.one(GS_PROFILE),) * m:
         raise AssertionError(f"theorem basis m={m}: B_0 is not the unit tuple")
     steps = []
-    det = one if m % 2 else -one
     for i in range(1, m):
         a, b = cols[i][0], cols[i][m - 1]
         if a == b or cols[i] != (a,) * i + (b,) * (m - i):
             raise AssertionError(f"theorem basis m={m}: column {i} is not a step")
         steps.append((b, a - b))
-        det = det * (a - b)
-    return _TheoremData(steps, det)
+    return steps
 
 
 def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
@@ -255,16 +246,17 @@ def coords_in_theorem_basis(entries: tuple[LaurentPoly, ...]) -> tuple[LaurentPo
     x_0 = y_{m-1} - sum_i b_i x_i.  Raise SpanError when a division is not
     exact, i.e. the tuple leaves the integral span (kernel-stability
     violation)."""
-    steps = _theorem_data(len(entries)).steps
+    zero = LaurentPoly.zero(GS_PROFILE)
     coords = []
     x0 = entries[-1]
-    for i, (b, diff) in enumerate(steps, start=1):
-        q = entries[i - 1] - entries[i]
-        if not q.is_zero():
-            q = q.div_exact(diff)
-            if q is None:
-                raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
-            x0 = x0 - b * q
+    for i, (b, diff) in enumerate(_theorem_data(len(entries)), start=1):
+        if entries[i - 1] == entries[i]:
+            coords.append(zero)
+            continue
+        q = (entries[i - 1] - entries[i]).div_exact(diff)
+        if q is None:
+            raise SpanError("tuple has no Laurent-integral theorem-basis coordinates")
+        x0 = x0 - b * q
         coords.append(q)
     return (x0, *coords)
 
@@ -311,12 +303,14 @@ def k_act(h: HeckeElt, c: KClass) -> KClass:
     """Act by a Hecke element: sum_i c_i * pushdown(h * l_i) over the nonzero
     theorem-basis coordinates c_i of the class."""
     m = c.m
+    one = LaurentPoly.one(GS_PROFILE)
     entries = None
     for i, ci in enumerate(c.coords):
         if ci.is_zero():
             continue
-        # ci * p is p itself when ci = 1, so a basis class gets its pushdown
-        scaled = tuple(ci * p for p in pushdown_poly(m, polyrep.act(h, _basis_lift(m, i))))
+        scaled = pushdown_poly(m, polyrep.act(h, _basis_lift(m, i)))
+        if ci != one:
+            scaled = tuple(ci * p for p in scaled)
         entries = scaled if entries is None else tuple(e + p for e, p in zip(entries, scaled))
     return KClass(entries or (LaurentPoly.zero(GS_PROFILE),) * m)
 

@@ -285,17 +285,18 @@ def check_defining_relations(m: int) -> list[str]:
 
 
 def freeness_determinant(m: int) -> LaurentPoly:
-    """Determinant of the fixed-point matrix of the m vectors Tw[1]^k IC^0,
-    computed by actually iterating the action (not assumed to be a shift);
-    nonzero exactly when the orbit is a basis over the fraction field.
-    Row differencing rebuilds every row from the theorem-basis coordinates C
-    that ``k_act`` returns, so the matrix is V C and det = det V * det C."""
+    """det C, for C the theorem-basis coordinates of the m vectors
+    Tw[1]^k IC^0, computed by actually iterating the action (not assumed to
+    be a shift).  Their fixed-point matrix is V C, of determinant
+    det V * det C, and the ``rank`` check proves det V != 0 from its step
+    factors, so the orbit is a basis over the fraction field exactly when
+    det C != 0."""
     w1 = HeckeElt.tw(m, 1)
     orbit = [springer.structure_sheaf(m)]
     for _ in range(m - 1):
         orbit.append(springer.k_act(w1, orbit[-1]))
     coords = [[orbit[j].coords[k] for j in range(m)] for k in range(m)]
-    return springer._theorem_data(m).det * det_laurent(coords)
+    return det_laurent(coords)
 
 
 # -- the sheaf-function dictionary ---------------------------------------------

@@ -823,8 +823,11 @@ def _basis_tables(c: _Ctx):
 
 
 def _rank(c: _Ctx):
-    det = springer._theorem_data(c.m).det
-    return True if not det.is_zero() else "theorem basis tuple matrix is singular"
+    """det V = (-1)^(m-1) prod_i (a_i - b_i) over the steps of V, which is
+    nonzero exactly when every factor is (``springer._theorem_data``)."""
+    if any(diff.is_zero() for _, diff in springer._theorem_data(c.m)):
+        return "theorem basis tuple matrix is singular"
+    return True
 
 
 def _kernel_stability(c: _Ctx):

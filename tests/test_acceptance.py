@@ -37,7 +37,7 @@ def test_criterion_01_tsm_closed_form():
 
 def test_criterion_02_main_theorem():
     stems = ["module-isomorphism", "module-relations"]
-    _criterion(2, "module isomorphism + relations, m=1..32", 60, "main-theorem", stems, range(1, 33))
+    _criterion(2, "module isomorphism + relations, m=1..56", 60, "main-theorem", stems, range(1, 57))
 
 
 def test_criterion_03_freeness():

@@ -97,20 +97,17 @@ def test_skyscraper_support():
         assert pm.entries[m - 1] == LaurentPoly.one(GS_PROFILE) - gs(-1, 2 - m)
 
 
-def test_theorem_basis_rank():
-    for m in range(1, 9):
-        det = springer._theorem_data(m).det
-        assert not det.is_zero()
-
-
 def test_theorem_det_product_formula():
-    # det V = (-1)^(m-1) prod_i (a_i - b_i) from the step shape of V, with
+    # det V = (-1)^(m-1) prod_i (a_i - b_i) over the steps of V, with
     # V[k][i] the entry of B_i at p_(k+1); Bareiss and the permutation
-    # expansion are independent oracles
+    # expansion are independent oracles, and the product is never zero
     for m in range(1, 9):
         basis = springer.theorem_basis(m)
         vmat = [[basis[i].entries[k] for i in range(m)] for k in range(m)]
-        det = springer._theorem_data(m).det
+        det = LaurentPoly.one(GS_PROFILE) * (-1) ** (m - 1)
+        for _, diff in springer._theorem_data(m):
+            det = det * diff
+        assert not det.is_zero()
         assert det == det_laurent(vmat), m
         if m <= 5:
             assert det == det_expansion(vmat), m
@@ -130,6 +127,21 @@ def test_theorem_data_rejects_a_non_step_basis(monkeypatch, fresh_caches):
     for m in (3, 4, 6):
         with pytest.raises(AssertionError, match="not a step"):
             springer._theorem_data(m)
+
+
+def test_rank_fails_on_a_constant_column(monkeypatch, fresh_caches):
+    # a constant column i makes the step factor a_i - b_i zero, so V is
+    # singular and the rank check must say so
+    def flattened(m):
+        basis = list(true_basis(m))
+        e = basis[m // 2].entries
+        basis[m // 2] = springer.KClass((e[0],) * m)
+        return tuple(basis)
+
+    true_basis = springer.theorem_basis
+    monkeypatch.setattr(springer, "theorem_basis", flattened)
+    for m in (2, 3, 6):
+        assert verify.run_check("springer", "rank", m).status == "fail", m
 
 
 def test_k_act_makes_no_determinant_calls(monkeypatch, fresh_caches):
@@ -169,17 +181,14 @@ def test_coords_round_trip():
             assert list(got) == coeffs
 
 
-def test_kclass_hash_agrees_with_equality():
-    # equality and the hash read the entries alone, so a class whose
-    # coordinates were already derived and a fresh one that has not derived
-    # them yet must hash alike and meet in a set
+def test_kclass_equality_reads_entries_alone():
+    # a class whose coordinates were already derived equals a fresh one
+    # that has not derived them yet
     for m in range(1, 5):
         for cls in springer.theorem_basis(m):
             bare = springer.KClass(cls.entries)
             assert len(cls.coords) == m and "coords" not in vars(bare)
             assert cls == bare
-            assert hash(cls) == hash(bare)
-            assert len({cls, bare}) == 1
 
 
 def test_theorem_basis_is_built_once_per_rank():

@@ -9,7 +9,7 @@ import pytest
 from conftest import _package_caches
 from dense_relations import box_multiplicativity_failures, check_dense_relations, dense, dense_mat_mul
 
-from glhecke import polyrep, springer, theta, verify
+from glhecke import laurent, polyrep, springer, theta, verify
 from glhecke.hecke import HeckeElt, parse_hecke
 from glhecke.laurent import GS_PROFILE, LaurentPoly, demazure_exponents, x_profile
 from glhecke.linalg import det_laurent
@@ -308,7 +308,8 @@ def test_freeness():
 def test_freeness_from_coordinates():
     # the Tw[1]-orbit of IC^0 has identity coordinates, so it is a basis over
     # the Laurent ring; the Bareiss determinant of its fixed-point matrix is
-    # the oracle for det V * det C
+    # the oracle for det V * det C, with det V the product of the step
+    # factors of V
     for m in range(1, 9):
         orbit = [springer.structure_sheaf(m)]
         for _ in range(m - 1):
@@ -316,7 +317,18 @@ def test_freeness_from_coordinates():
         identity = theta._dense(theta._scalar_matrix(m, LaurentPoly.one(GS_PROFILE)))
         assert [list(v.coords) for v in orbit] == identity
         fixed = [[orbit[j].entries[k] for j in range(m)] for k in range(m)]
-        assert det_laurent(fixed) == theta.freeness_determinant(m), m
+        det_v = LaurentPoly.one(GS_PROFILE) * (-1) ** (m - 1)
+        for _, diff in springer._theorem_data(m):
+            det_v = det_v * diff
+        assert det_laurent(fixed) == det_v * theta.freeness_determinant(m), m
+
+
+def test_main_theorem_fits_a_small_term_cap(monkeypatch, fresh_caches):
+    # no check of the main theorem reads det V, which has 130 terms at
+    # m = 24, so none may multiply it out and stop on this cap
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 100)
+    for stem in ("module-isomorphism", "module-relations", "freeness"):
+        assert verify.run_check("main-theorem", stem, 24).status == "pass", stem
 
 
 def test_central_characters_through_matrices():
