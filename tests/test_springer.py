@@ -97,6 +97,16 @@ def test_skyscraper_support():
         assert pm.entries[m - 1] == LaurentPoly.one(GS_PROFILE) - gs(-1, 2 - m)
 
 
+def test_theorem_basis_rank():
+    # det V is the signed product of the step factors, so V has full rank
+    # exactly when no factor is zero
+    for m in range(1, 9):
+        steps = springer._theorem_data(m)
+        assert len(steps) == m - 1
+        assert not any(diff.is_zero() for _, diff in steps), m
+        assert verify.run_check("springer", "rank", m).status == "pass", m
+
+
 def test_theorem_det_product_formula():
     # det V = (-1)^(m-1) prod_i (a_i - b_i) over the steps of V, with
     # V[k][i] the entry of B_i at p_(k+1); Bareiss and the permutation
