@@ -21,10 +21,10 @@ sending each variable to a monomial, and the telescoping quotient
 polynomial, computed as a closed-form sum rather than by trial division):
 ``demazure_range`` is its one rule, on which ``demazure_exponents``, the
 Bernstein relation of ``hecke`` and the ``T_i`` action of ``polyrep`` are
-built.  Further: symmetric-group orbit sums, ``coefficient_sum`` (the value
-at 1 of every variable), a round-trip text grammar like
-``3*s^-2*x1^2 - x2``, and ``TokenCursor``, the one literal reader that the
-Hecke and Weyl grammars build on.
+built.  Further: ``orbit``, each distinct permutation of an exponent vector
+once, ``coefficient_sum`` (the value at 1 of every variable), a round-trip
+text grammar like ``3*s^-2*x1^2 - x2``, and ``TokenCursor``, the one literal
+reader that the Hecke and Weyl grammars build on.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from collections import Counter
 from functools import cache
-from math import factorial, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -53,8 +51,6 @@ __all__ = [
     "demazure_exponents",
     "demazure_quotient",
     "orbit",
-    "orbit_sum",
-    "is_symmetric",
 ]
 
 S_PROFILE = ("s",)
@@ -522,7 +518,7 @@ def parse_poly(profile: tuple[str, ...], text: str) -> LaurentPoly:
     return cur.finish(cur.expr(lambda: cur.poly_factor(profile), LaurentPoly.zero(profile)))
 
 
-# -- Demazure quotient and orbit sums -----------------------------------------
+# -- Demazure quotient and orbits ---------------------------------------------
 
 
 def demazure_range(k: int) -> tuple[int, range]:
@@ -576,21 +572,3 @@ def orbit(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
             j -= 1
         mu[i], mu[j] = mu[j], mu[i]
         mu[i + 1 :] = reversed(mu[i + 1 :])
-
-
-def orbit_sum(lam: Sequence[int]) -> LaurentPoly:
-    """Sum of e^mu over the S_m-orbit of lam, each element counted once; the
-    orbit size is held to the term cap before anything is built."""
-    check_terms(factorial(len(lam)) // prod(map(factorial, Counter(lam).values())))
-    return LaurentPoly.from_terms(x_profile(len(lam)), ((mu + (0,), 1) for mu in orbit(lam)))
-
-
-def is_symmetric(p: LaurentPoly, m: int) -> bool:
-    """True iff p is invariant under every substitution x_i <-> x_{i+1}."""
-    for i in range(m - 1):
-        swapped = {
-            k[:i] + (k[i + 1], k[i]) + k[i + 2 :]: c for k, c in p.terms.items()
-        }
-        if swapped != p.terms:
-            return False
-    return True

@@ -32,7 +32,10 @@ The Hecke action k_act is linear over Z[g^{+-1}, s^{+-1}]: it acts on the
 canonical preimages l_0 = 1, l_i = s^{i(m-i)} e^{omega_i} of the theorem
 basis in the polynomial representation, pushes each result down along
 e^lam -> L_{-lam}, and sums them with the coordinates of the class as
-coefficients.
+coefficients.  Pushdown is a ring map and e^lam acts on P by x^{-lam}, so
+e^lam acts on a class by pointwise multiplication with the tuple of L_lam;
+the ``center`` check of the verification suite reads the central characters
+off those tuples.
 
 That action is well defined because the kernel I of ``pushdown_poly`` on
 P = Z[x^+-1, s^+-1] is stable under H.  ``kernel_generators`` gives the
@@ -63,7 +66,7 @@ from typing import NamedTuple
 
 from . import polyrep
 from .hecke import HeckeElt
-from .laurent import GS_PROFILE, LaurentPoly, ProfileMismatchError, is_symmetric, x_profile
+from .laurent import GS_PROFILE, LaurentPoly, ProfileMismatchError, x_profile
 from .linalg import det_laurent
 
 __all__ = [
@@ -78,7 +81,6 @@ __all__ = [
     "BasisTables",
     "LUSZTIG_DENOMINATOR",
     "k_act",
-    "res_sigma",
     "bundle_identities_hold",
     "skyscraper_pm",
     "exact_sequence_identities_hold",
@@ -313,18 +315,6 @@ def k_act(h: HeckeElt, c: KClass) -> KClass:
             scaled = tuple(ci * p for p in scaled)
         entries = scaled if entries is None else tuple(e + p for e, p in zip(entries, scaled))
     return KClass(entries or (LaurentPoly.zero(GS_PROFILE),) * m)
-
-
-def res_sigma(p: LaurentPoly, m: int) -> LaurentPoly:
-    """Restriction of a symmetric character along the torus embedding:
-    x_1 -> g, x_j -> s^{m-2(j-1)}.  The direct substitution (no inversion)
-    is the convention pinned by the center criterion."""
-    if p.profile != x_profile(m):
-        raise ValueError("expected a polynomial in the x-profile")
-    if not is_symmetric(p, m):
-        raise ValueError("res_sigma requires a symmetric polynomial")
-    images = [(1, 0)] + [(0, m - 2 * (j - 1)) for j in range(2, m + 1)] + [(0, 1)]
-    return p.monomial_map(GS_PROFILE, images)
 
 
 # -- declared bases ------------------------------------------------------------

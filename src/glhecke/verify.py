@@ -60,7 +60,6 @@ from .laurent import (
     demazure_exponents,
     demazure_quotient,
     orbit,
-    orbit_sum,
     x_profile,
 )
 
@@ -378,15 +377,46 @@ def _kact_formulas(c: _Ctx):
     return True
 
 
+def _elementary(ws: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """e_0, ..., e_n of the n values ws, by the recurrence
+    e_k <- e_k + e_(k-1) w over the values w: O(n^2) products."""
+    e = [LaurentPoly.one(GS_PROFILE)] + [LaurentPoly.zero(GS_PROFILE)] * len(ws)
+    for n, w in enumerate(ws, start=1):
+        for k in range(n, 0, -1):
+            e[k] = e[k] + e[k - 1] * w
+    return e
+
+
 def _central_characters(c: _Ctx):
+    """The orbit sum z_k of e^mu over the S_m-orbit of (1^k, 0^(m-k)), a
+    central element (Lusztig, JAMS 1989), acts on the K-module by the scalar
+    e_k(g, s^(m-2), ..., s^(2-m)), for k = 1..m.  No orbit is built:
+
+      * act(e^lam, u) = x^(-lam) u and ``pushdown_poly`` is a ring map, so
+        e^(eps_j) acts by pointwise multiplication with the tuple
+        P_j = k_act(e^(eps_j), O).  That premise is checked on every
+        theorem-basis class; ``k_act`` is linear in the class, so it holds
+        on their span.
+      * ``k_act`` is linear in h (``module-axiom``) and multiplicative on
+        translations (the e-multiplicativity part of ``defining-relations``),
+        and every mu in the orbit is 0/1.  So e^mu acts at each fixed point
+        p by the product of the P_j(p) over the support of mu, and z_k by
+        e_k(P_1(p), ..., P_m(p)).
+      * ``_elementary`` gives both that value and the wanted scalar."""
     m = c.m
+    basis = springer.theorem_basis(m)
+    units = [HeckeElt.e(tuple(int(i == j) for i in range(m))) for j in range(m)]
+    tuples = [springer.k_act(e, basis[0]).entries for e in units]
+    for i, b in enumerate(basis):
+        for j, (e, pj) in enumerate(zip(units, tuples), start=1):
+            if springer.k_act(e, b).entries != tuple(x * y for x, y in zip(pj, b.entries)):
+                return f"e^(eps_{j}) does not act on B_{i} by the tuple P_{j}"
+    weights = [(1, 0)] + [(0, m - 2 * (j - 1)) for j in range(2, m + 1)]
+    want = _elementary([LaurentPoly.monomial(GS_PROFILE, w) for w in weights])
+    got = [_elementary([pj[p] for pj in tuples]) for p in range(m)]
     for k in range(1, m + 1):
-        lam = [1] * k + [0] * (m - k)
-        z = _orbit_element(lam)
-        scal = springer.res_sigma(orbit_sum(lam), m)
-        for b in springer.theorem_basis(m):
-            if springer.k_act(z, b) != b.scale(scal):
-                return f"central scalar failure at e_{k}"
+        if any(e[k] != want[k] for e in got):
+            return f"central scalar failure at e_{k}"
     return True
 
 

@@ -1,0 +1,17 @@
+"""The orbit route to the central characters, kept as a test oracle.
+
+The registered ``center`` check reads the scalar by which the orbit sum of
+e^omega_k acts off the fixed-point tuples, with no orbit built.  This route
+builds the orbit sum of x^omega_k and substitutes x_1 -> g,
+x_j -> s^(m-2(j-1)) into it.
+"""
+
+from glhecke.laurent import GS_PROFILE, LaurentPoly, orbit, x_profile
+
+
+def orbit_scalar(lam) -> LaurentPoly:
+    """The orbit sum of x^lam under x_1 -> g, x_j -> s^(m-2(j-1))."""
+    m = len(lam)
+    z = LaurentPoly.from_terms(x_profile(m), ((mu + (0,), 1) for mu in orbit(lam)))
+    images = [(1, 0)] + [(0, m - 2 * (j - 1)) for j in range(2, m + 1)] + [(0, 1)]
+    return z.monomial_map(GS_PROFILE, images)

@@ -1,4 +1,4 @@
-"""Ring arithmetic, the telescoping quotient, orbit sums, specialization,
+"""Ring arithmetic, the telescoping quotient, orbits, specialization,
 and the literal grammar."""
 
 import ast
@@ -24,9 +24,7 @@ from glhecke.laurent import (
     demazure_exponents,
     demazure_quotient,
     demazure_range,
-    is_symmetric,
     orbit,
-    orbit_sum,
     parse_poly,
     x_profile,
 )
@@ -326,7 +324,7 @@ def test_term_layout_is_private_to_laurent():
     touches = set().union(*(layout_touches(p) for p in PACKAGE.glob("*.py")))
     # the walker sees the module's own uses
     assert ("build", "laurent", "LaurentPoly.__add__") in touches
-    assert ("read", "laurent", "is_symmetric") in touches
+    assert ("read", "laurent", "LaurentPoly.monomial_map") in touches
     for kind, module, func in sorted(touches):
         if module == "laurent":
             continue
@@ -391,13 +389,7 @@ def test_package_arithmetic_is_integer_only(tmp_path):
     assert {stem: hits for stem, hits in found.items() if hits} == {}
 
 
-# -- orbit sums --------------------------------------------------------------------
-
-
-def test_orbit_sum_examples():
-    assert orbit_sum((1, 0)) == mono(X2, (1, 0, 0)) + mono(X2, (0, 1, 0))
-    assert orbit_sum((1, 1)) == mono(X2, (1, 1, 0))
-    assert len(orbit_sum((2, 1, 0)).terms) == 6
+# -- orbits ------------------------------------------------------------------------
 
 
 @given(st.lists(st.integers(-2, 2), max_size=6))
@@ -406,22 +398,6 @@ def test_orbit_lists_each_permutation_once(lam):
     got = list(orbit(lam))
     assert len(got) == len(set(got))
     assert set(got) == set(permutations(lam))
-
-
-def test_orbit_sum_holds_the_orbit_size_to_the_term_cap(monkeypatch):
-    monkeypatch.setattr(laurent, "_MAX_TERMS", 2)
-    with pytest.raises(TermBudgetError):
-        orbit_sum((1, 0, 0))
-    monkeypatch.setattr(laurent, "_MAX_TERMS", 3)
-    assert len(orbit_sum((1, 0, 0)).terms) == 3
-
-
-def test_orbit_sum_symmetric():
-    rng = random.Random(5)
-    for _ in range(50):
-        m = rng.randint(2, 4)
-        lam = tuple(rng.randint(-2, 2) for _ in range(m))
-        assert is_symmetric(orbit_sum(lam), m)
 
 
 # -- coefficient sum -----------------------------------------------------------------

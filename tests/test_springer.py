@@ -2,16 +2,17 @@
 the Hecke action on the K-module, and the kernel of restriction."""
 
 import random
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_kernel
-from glhecke import polyrep, springer, verify, weyl
+from orbit_oracle import orbit_scalar
+from glhecke import laurent, polyrep, springer, verify, weyl
 from glhecke.hecke import HeckeElt, t_element
-from glhecke.laurent import GS_PROFILE, LaurentPoly, orbit_sum, parse_poly, x_profile
+from glhecke.laurent import GS_PROFILE, LaurentPoly, parse_poly, x_profile
 from glhecke.linalg import det_expansion, det_laurent
 
 
@@ -271,29 +272,66 @@ def test_k_act_affine_reflection():
             assert all(c.is_zero() for c in coords[2 : m - 1])
 
 
-def test_res_sigma_examples():
-    m = 3
-    p = parse_poly(x_profile(m), "x1 + x2 + x3")
-    assert springer.res_sigma(p, m) == gs(1, 0) + gs(0, 1) + gs(0, -1)
-    det = parse_poly(x_profile(m), "x1*x2*x3")
-    assert springer.res_sigma(det, m) == gs(1, 0)
-    one = parse_poly(x_profile(m), "1")
-    assert springer.res_sigma(one, m) == LaurentPoly.one(GS_PROFILE)
-    with pytest.raises(ValueError):
-        springer.res_sigma(parse_poly(x_profile(m), "x1"), m)
-
-
 def test_center_scalar_action():
-    for m in (2, 3, 4):
+    # the orbit route is the oracle of the registered check: the scalar it
+    # substitutes is the wanted e_k, and the orbit sum acts by it
+    for m in range(1, 10):
         basis = springer.theorem_basis(m)
+        weights = [gs(1, 0)] + [gs(0, m - 2 * (j - 1)) for j in range(2, m + 1)]
+        want = verify._elementary(weights)
         for k in range(1, m + 1):
-            lam = [1] * k + [0] * (m - k)
-            zel = HeckeElt.zero(m)
-            for mu in set(permutations(lam)):
-                zel = zel + HeckeElt.e(mu)
-            scal = springer.res_sigma(orbit_sum(lam), m)
+            lam = (1,) * k + (0,) * (m - k)
+            scal = orbit_scalar(lam)
+            assert scal == want[k], (m, k)
+            z = verify._orbit_element(lam)
             for b in basis:
-                assert springer.k_act(zel, b) == b.scale(scal)
+                assert springer.k_act(z, b) == b.scale(scal), (m, k)
+        assert verify.run_check("springer", "center", m).status == "pass", m
+
+
+def test_center_catches_planted_faults(monkeypatch, fresh_caches):
+    k_act, pushdown, weight = springer.k_act, springer.pushdown_poly, springer._vector_weight
+    m = 4
+    e2 = HeckeElt.e((0, 1, 0, 0))
+
+    def off_diagonal(h, c):
+        # E_2 with an entry at (p_1, p_2)
+        out = k_act(h, c)
+        return springer.KClass((out.entries[0] + c.entries[1], *out.entries[1:])) if h == e2 else out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(springer, "k_act", off_diagonal)
+        check = verify.run_check("springer", "center", m)
+    assert (check.status, check.counterexample) == ("fail", "e^(eps_2) does not act on B_1 by the tuple P_2")
+
+    def shifted_at_last_point(mm, u):
+        # the weight of x_m at p_m times s^2: still a ring map at each point,
+        # and no lift l_i of the theorem basis has an x_m
+        out = pushdown(mm, u)
+        images = [tuple(int(i == j) for i in range(mm + 1)) for j in range(mm + 1)]
+        images[mm - 1] = (0,) * (mm - 1) + (1, 2)
+        return out[:-1] + (pushdown(mm, u.monomial_map(u.profile, images))[-1],)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(springer, "pushdown_poly", shifted_at_last_point)
+        check = verify.run_check("springer", "center", m)
+        # the orbit route sees the fault too
+        o, lam = springer.structure_sheaf(m), (1, 0, 0, 0)
+        assert springer.k_act(verify._orbit_element(lam), o) != o.scale(orbit_scalar(lam))
+    assert (check.status, check.counterexample) == ("fail", "central scalar failure at e_1")
+
+    # u_2 weighs s^(2-m), not s^(m-2), at every fixed point; at m + 1, whose
+    # fixed flags are not built yet
+    monkeypatch.setattr(springer, "_vector_weight", lambda mm, u: (0, 2 - mm) if u == 2 else weight(mm, u))
+    check = verify.run_check("springer", "center", m + 1)
+    assert (check.status, check.counterexample) == ("fail", "central scalar failure at e_1")
+
+
+def test_center_fits_a_small_term_cap(monkeypatch, fresh_caches):
+    # the orbit sums of e_k have up to C(12, 6) = 924 terms, the check's
+    # polynomials at most 62
+    monkeypatch.setattr(laurent, "_MAX_TERMS", 100)
+    assert verify.run_check("springer", "center", 12).status == "pass"
 
 
 def _stability_generators(m):

@@ -8,6 +8,7 @@ import os
 import pytest
 from conftest import _package_caches
 from dense_relations import box_multiplicativity_failures, check_dense_relations, dense, dense_mat_mul
+from orbit_oracle import orbit_scalar
 
 from glhecke import laurent, polyrep, springer, theta, verify
 from glhecke.hecke import HeckeElt, parse_hecke
@@ -187,6 +188,27 @@ def test_planted_fault_off_node_one_fails_conjugation(monkeypatch):
         assert verify.run_check("main-theorem", "module-relations", 4).status == "fail"
 
 
+def test_planted_fault_at_m2_fails_cyclic_symmetry(monkeypatch, fresh_caches):
+    # at m = 2, conjugation by Tw[1] is the one relation that reads T[2]
+    for key in ("T[2]", "Tw[-1]"):
+        _plant(monkeypatch, 2, key)
+        assert verify.run_check("theta", "cyclic-symmetry", 2).status == "fail", key
+
+
+def test_fault_on_the_last_negative_unit_fails_e_multiplicativity(monkeypatch, fresh_caches):
+    # e^(-eps_m) acts with an extra s^2; the spot check through k_act is
+    # the one relation that applies it alone
+    act_e = polyrep.act_e
+
+    def bent(lam, u, m):
+        out = act_e(lam, u, m)
+        return out * LaurentPoly.variable(u.profile, "s", 2) if tuple(lam) == (0,) * (m - 1) + (-1,) else out
+
+    monkeypatch.setattr(polyrep, "act_e", bent)
+    for m in (2, 3, 4):
+        assert "e-multiplicativity through k_act" in theta.check_defining_relations(m), m
+
+
 def test_planted_e_matrix_fault_fails_bernstein(monkeypatch):
     # the e-matrices that `theta --matrices` reports are checked, not only the T's
     for m in (2, 3, 4):
@@ -333,18 +355,10 @@ def test_main_theorem_fits_a_small_term_cap(monkeypatch, fresh_caches):
 
 def test_central_characters_through_matrices():
     m = 3
-    from itertools import permutations
-
-    from glhecke.laurent import orbit_sum
-
     for k in (1, 2, 3):
-        lam = [1] * k + [0] * (m - k)
-        zel = HeckeElt.zero(m)
-        for mu in set(permutations(lam)):
-            zel = zel + HeckeElt.e(mu)
-        mat = theta._matrix_of(m, zel)
-        scal = springer.res_sigma(orbit_sum(lam), m)
-        assert mat == theta._scalar_matrix(m, scal)
+        lam = (1,) * k + (0,) * (m - k)
+        mat = theta._matrix_of(m, verify._orbit_element(lam))
+        assert mat == theta._scalar_matrix(m, orbit_scalar(lam))
 
 
 def test_matrix_of_is_multiplicative():
