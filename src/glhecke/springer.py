@@ -93,8 +93,8 @@ class SpanError(ValueError):
     """A tuple failed to lie in the integral span of the theorem basis."""
 
 
-def _gs(gexp: int, sexp: int, coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(GS_PROFILE, (gexp, sexp), coeff)
+def _gs(gexp: int, sexp: int) -> LaurentPoly:
+    return LaurentPoly.monomial(GS_PROFILE, (gexp, sexp))
 
 
 class FixedFlagTable(NamedTuple):

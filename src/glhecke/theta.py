@@ -32,6 +32,7 @@ the bounds (N, r) form the box -N <= lam_i <= r.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
@@ -58,8 +59,8 @@ _ONE = LaurentPoly.one(GS_PROFILE)
 _ZERO = LaurentPoly.zero(GS_PROFILE)
 
 
-def _gs(ge: int, se: int, c: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(GS_PROFILE, (ge, se), c)
+def _gs(ge: int, se: int) -> LaurentPoly:
+    return LaurentPoly.monomial(GS_PROFILE, (ge, se))
 
 
 _S_INV = _gs(0, -1)
@@ -141,20 +142,15 @@ def _scalar_matrix(m: int, c: LaurentPoly) -> SparseRows:
 
 
 _SCALARS = {"g": _gs(1, 0), "s": _S}
-_matrix_cache: dict[tuple[int, str], SparseRows] = {}
 
 
+@cache
 def _matrix(m: int, key: str) -> SparseRows:
     """The cached matrix of a generator key, or of any other Hecke literal
     such as ``Tw[-1]`` or ``e[0,1,0]``, in the basis IC^0..IC^{m-1}."""
-    got = _matrix_cache.get((m, key))
-    if got is None:
-        if key in _SCALARS:
-            got = _scalar_matrix(m, _SCALARS[key])
-        else:
-            got = _matrix_of(m, parse_hecke(m, key))
-        _matrix_cache[(m, key)] = got
-    return got
+    if key in _SCALARS:
+        return _scalar_matrix(m, _SCALARS[key])
+    return _matrix_of(m, parse_hecke(m, key))
 
 
 def theta_action_matrices(m: int) -> dict[str, PolyMatrix]:

@@ -18,8 +18,8 @@ order within a rank, and the helpers send each finished ``Check`` back as
 JSON.  The report does not depend on how many processes ran it or on which
 one ran a unit.  A unit's result is a function of its check and its
 ``_Ctx`` alone: its draws come from the generator keyed by (seed, suite,
-check id, m), and every table it reads (the ``functools.cache`` tables and
-``theta._matrix_cache``) holds a pure function of the rank, so a table that
+check id, m), and every table it reads (the ``functools.cache`` tables, such
+as ``theta._matrix``) holds a pure function of the rank, so a table that
 one process filled and another did not gives the same values.  The only
 field that varies, ``elapsed_ms``, is left out of the canonical JSON, and
 the parent puts the checks in table order, so the text report, the JSON
@@ -48,6 +48,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -203,12 +204,15 @@ def _lambda_box(m: int) -> list[tuple[int, ...]]:
 
 # -- the BFS length oracle ---------------------------------------------------------
 
+# ``weyl-length-bfs`` checks |lambda_i| <= _BFS_BOX; the search adds a slack
+_BFS_BOX, _BFS_SLACK = 2, 4
 
-def bfs_lengths(m: int, lam_bound: int, slack: int = 4) -> Iterator[tuple[weyl.AffineWeylElt, int]]:
+
+def bfs_lengths(m: int) -> Iterator[tuple[weyl.AffineWeylElt, int]]:
     """Yield every (w, d) with d the shortest word length of w over the
     Cayley graph of W_aff x| Omega, with weight-1 moves w -> w s_i and
-    weight-0 moves w -> w omega^(+-1), pruned to |lambda_i| <= lam_bound +
-    slack; each w once, one layer (all w at one distance d) at a time.
+    weight-0 moves w -> w omega^(+-1), pruned to |lambda_i| <= _BFS_BOX +
+    _BFS_SLACK; each w once, one layer (all w at one distance d) at a time.
 
     This is frontier search (Korf, Zhang, Thayer and Hohwald, "Frontier
     search", J. ACM 52(5), 2005): only layers d - 1 and d are held while
@@ -221,7 +225,7 @@ def bfs_lengths(m: int, lam_bound: int, slack: int = 4) -> Iterator[tuple[weyl.A
     one s_i move out of layer d followed by Omega moves only, so layer d + 1
     is the set of s_i-neighbours of layer d that lie in neither layer d - 1
     nor layer d, closed under the in-cap Omega moves."""
-    cap = lam_bound + slack
+    cap = _BFS_BOX + _BFS_SLACK
     gens1 = [weyl.simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
     gens0 = [weyl.omega(m, 1), weyl.omega(m, -1)]
 
@@ -377,14 +381,10 @@ def _kact_formulas(c: _Ctx):
     return True
 
 
-def _elementary(ws: Sequence[LaurentPoly]) -> list[LaurentPoly]:
-    """e_0, ..., e_n of the n values ws, by the recurrence
-    e_k <- e_k + e_(k-1) w over the values w: O(n^2) products."""
-    e = [LaurentPoly.one(GS_PROFILE)] + [LaurentPoly.zero(GS_PROFILE)] * len(ws)
-    for n, w in enumerate(ws, start=1):
-        for k in range(n, 0, -1):
-            e[k] = e[k] + e[k - 1] * w
-    return e
+def _u_line_weights(m: int) -> list[tuple[int, int]]:
+    """The u-line weights g, s^(m-2), ..., s^(2-m) as (g, s) exponents, written
+    out by hand: the checks that use them test ``springer._vector_weight``."""
+    return [(1, 0)] + [(0, m - 2 * j) for j in range(1, m)]
 
 
 def _central_characters(c: _Ctx):
@@ -402,7 +402,10 @@ def _central_characters(c: _Ctx):
         and every mu in the orbit is 0/1.  So e^mu acts at each fixed point
         p by the product of the P_j(p) over the support of mu, and z_k by
         e_k(P_1(p), ..., P_m(p)).
-      * ``_elementary`` gives both that value and the wanted scalar."""
+      * That is e_k(w_1, ..., w_m) of the weights for every k exactly when
+        prod_j (X + P_j(p)) = prod_j (X + w_j) in R[X], R = Z[g^+-1, s^+-1].
+        R is an integral domain, so roots in Frac(R)[X] are unique with
+        multiplicity: at each p the P_j(p) must be the weights as a multiset."""
     m = c.m
     basis = springer.theorem_basis(m)
     units = [HeckeElt.e(tuple(int(i == j) for i in range(m))) for j in range(m)]
@@ -411,12 +414,12 @@ def _central_characters(c: _Ctx):
         for j, (e, pj) in enumerate(zip(units, tuples), start=1):
             if springer.k_act(e, b).entries != tuple(x * y for x, y in zip(pj, b.entries)):
                 return f"e^(eps_{j}) does not act on B_{i} by the tuple P_{j}"
-    weights = [(1, 0)] + [(0, m - 2 * (j - 1)) for j in range(2, m + 1)]
-    want = _elementary([LaurentPoly.monomial(GS_PROFILE, w) for w in weights])
-    got = [_elementary([pj[p] for pj in tuples]) for p in range(m)]
-    for k in range(1, m + 1):
-        if any(e[k] != want[k] for e in got):
-            return f"central scalar failure at e_{k}"
+    want = Counter(LaurentPoly.monomial(GS_PROFILE, w) for w in _u_line_weights(m))
+    for p in range(m):
+        got = Counter(pj[p] for pj in tuples)
+        for w in [*want, *got]:
+            if got[w] != want[w]:
+                return f"central scalar failure at p_{p + 1}: {w} occurs {got[w]} times, not {want[w]}"
     return True
 
 
@@ -679,13 +682,13 @@ def _omega_conjugation(c: _Ctx):
 
 def _weyl_bfs(c: _Ctx):
     m = c.m
-    reached = set()  # the elements of the box |lambda_i| <= 2
-    for elt, d in bfs_lengths(m, 2):
+    reached = set()  # the elements of the box |lambda_i| <= _BFS_BOX
+    for elt, d in bfs_lengths(m):
         if weyl.length(elt) != d or weyl.window_inversions(elt) != d:
             return f"length mismatch at {elt}: bfs={d} formula={weyl.length(elt)}"
-        if -2 <= min(elt.trans) and max(elt.trans) <= 2:
+        if -_BFS_BOX <= min(elt.trans) and max(elt.trans) <= _BFS_BOX:
             reached.add(elt)
-    for lam in product(range(-2, 3), repeat=m):
+    for lam in product(range(-_BFS_BOX, _BFS_BOX + 1), repeat=m):
         for perm in permutations(range(m)):
             elt = weyl.AffineWeylElt(lam, perm)
             if elt not in reached:
@@ -828,7 +831,7 @@ def _exact_division(c: _Ctx):
 def _weights(c: _Ctx):
     m = c.m
     table = springer.build_fixed_flags(m)
-    want = sorted([(1, 0)] + [(0, m - 2 * j) for j in range(1, m)])
+    want = sorted(_u_line_weights(m))
     for k in range(m):
         if sorted(table.weights[k]) != want:
             return f"graded weights at p_{k+1} are not a permutation of the u-line weights"

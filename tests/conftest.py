@@ -7,7 +7,6 @@ import pytest
 from hypothesis import settings
 
 import glhecke
-from glhecke import theta
 
 # every property test runs without a deadline, since exact arithmetic on a
 # shared machine has no stable time per example, and derandomized, so each
@@ -29,17 +28,15 @@ def _package_caches():
 
 
 @pytest.fixture
-def fresh_caches(monkeypatch):
+def fresh_caches():
     """Empty every per-rank table of the package before the test and again
     after it: a test that plants a fault into something a table stores (a
     product, the theorem basis, its step data, a generator matrix) must
     neither read entries an earlier test built nor leave faulty ones for a
-    later test.  The generator matrices of ``theta`` are a plain dict, so the
-    test gets a fresh one and the old one is put back after it."""
+    later test."""
     caches = _package_caches()
     for fn in caches:
         fn.cache_clear()
-    monkeypatch.setattr(theta, "_matrix_cache", {})
     yield
     for fn in caches:
         fn.cache_clear()

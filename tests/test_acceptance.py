@@ -46,8 +46,8 @@ def test_criterion_03_freeness():
 
 
 def test_criterion_04_center():
-    label = "orbit sums of e^omega_k act by e_k of the weights, m=2..32"
-    _criterion(4, label, 30, "springer", ["center"], range(2, 33))
+    label = "orbit sums of e^omega_k act by e_k of the weights, m=2..48"
+    _criterion(4, label, 30, "springer", ["center"], range(2, 49))
 
 
 def test_criterion_05_hecke_soundness():

@@ -342,8 +342,7 @@ def _is_empty_dict(node):
 
 
 def test_functools_cache_is_the_one_memo_idiom():
-    # derived values are memoised by functools.cache; the generator matrices
-    # of theta stay a plain dict, the seam through which tests plant faults
+    # derived values are memoised by functools.cache, and by no plain dict
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -351,7 +350,7 @@ def test_functools_cache_is_the_one_memo_idiom():
                 if _is_empty_dict(node.value):
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     found += [(path.stem, ast.unparse(t)) for t in targets]
-    assert found == [("theta", "_matrix_cache")]
+    assert found == []
 
 
 _NOT_INTEGER_NAMES = {"float", "Fraction", "Decimal"}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_kernel
-from orbit_oracle import orbit_scalar
+from orbit_oracle import elementary, orbit_scalar
 from glhecke import laurent, polyrep, springer, verify, weyl
 from glhecke.hecke import HeckeElt, t_element
 from glhecke.laurent import GS_PROFILE, LaurentPoly, parse_poly, x_profile
@@ -278,7 +278,7 @@ def test_center_scalar_action():
     for m in range(1, 10):
         basis = springer.theorem_basis(m)
         weights = [gs(1, 0)] + [gs(0, m - 2 * (j - 1)) for j in range(2, m + 1)]
-        want = verify._elementary(weights)
+        want = elementary(weights)
         for k in range(1, m + 1):
             lam = (1,) * k + (0,) * (m - k)
             scal = orbit_scalar(lam)
@@ -304,32 +304,44 @@ def test_center_catches_planted_faults(monkeypatch, fresh_caches):
         check = verify.run_check("springer", "center", m)
     assert (check.status, check.counterexample) == ("fail", "e^(eps_2) does not act on B_1 by the tuple P_2")
 
-    def shifted_at_last_point(mm, u):
-        # the weight of x_m at p_m times s^2: still a ring map at each point,
-        # and no lift l_i of the theorem basis has an x_m
-        out = pushdown(mm, u)
-        images = [tuple(int(i == j) for i in range(mm + 1)) for j in range(mm + 1)]
-        images[mm - 1] = (0,) * (mm - 1) + (1, 2)
-        return out[:-1] + (pushdown(mm, u.monomial_map(u.profile, images))[-1],)
+    def x_m_at(k, image):
+        # x_m goes to the monomial ``image`` over (x_1, ..., x_m, s) at p_(k+1)
+        # alone: still a ring map at each point, and no lift l_i of the
+        # theorem basis has an x_m
+        def fault(mm, u):
+            out = pushdown(mm, u)
+            images = [tuple(int(i == j) for i in range(mm + 1)) for j in range(mm + 1)]
+            images[mm - 1] = image
+            return out[:k] + (pushdown(mm, u.monomial_map(u.profile, images))[k],) + out[k + 1 :]
 
+        return fault
+
+    # the weight of x_m at p_m, g, times s^2
     with monkeypatch.context() as mp:
-        mp.setattr(springer, "pushdown_poly", shifted_at_last_point)
+        mp.setattr(springer, "pushdown_poly", x_m_at(m - 1, (0, 0, 0, 1, 2)))
         check = verify.run_check("springer", "center", m)
         # the orbit route sees the fault too
         o, lam = springer.structure_sheaf(m), (1, 0, 0, 0)
         assert springer.k_act(verify._orbit_element(lam), o) != o.scale(orbit_scalar(lam))
-    assert (check.status, check.counterexample) == ("fail", "central scalar failure at e_1")
+    assert (check.status, check.counterexample) == ("fail", "central scalar failure at p_4: g occurs 0 times, not 1")
+
+    # x_m takes the weight of x_(m-1) at p_2 alone: m entries there, each a
+    # weight, but one of them twice
+    with monkeypatch.context() as mp:
+        mp.setattr(springer, "pushdown_poly", x_m_at(1, (0, 0, 1, 0, 0)))
+        check = verify.run_check("springer", "center", m)
+    assert (check.status, check.counterexample) == ("fail", "central scalar failure at p_2: 1 occurs 2 times, not 1")
 
     # u_2 weighs s^(2-m), not s^(m-2), at every fixed point; at m + 1, whose
     # fixed flags are not built yet
     monkeypatch.setattr(springer, "_vector_weight", lambda mm, u: (0, 2 - mm) if u == 2 else weight(mm, u))
     check = verify.run_check("springer", "center", m + 1)
-    assert (check.status, check.counterexample) == ("fail", "central scalar failure at e_1")
+    assert (check.status, check.counterexample) == ("fail", "central scalar failure at p_1: s^3 occurs 0 times, not 1")
 
 
 def test_center_fits_a_small_term_cap(monkeypatch, fresh_caches):
     # the orbit sums of e_k have up to C(12, 6) = 924 terms, the check's
-    # polynomials at most 62
+    # polynomials at most 2
     monkeypatch.setattr(laurent, "_MAX_TERMS", 100)
     assert verify.run_check("springer", "center", 12).status == "pass"
 

@@ -131,27 +131,36 @@ def test_relation_words_match_kact_chain():
 
 
 def test_fresh_caches_empties_the_matrices_too(request):
-    # a fault planted under the fixture may reach the generator matrices, a
-    # plain dict beside the functools.cache tables
+    # a fault planted under the fixture may reach the generator matrices
     HeckeElt.tw(3, 1)
     theta._matrix(3, "T[1]")
     caches = _package_caches()
-    assert any(fn.cache_info().currsize for fn in caches) and theta._matrix_cache
+    assert theta._matrix in caches and theta._matrix.cache_info().currsize
     request.getfixturevalue("fresh_caches")
     assert [fn for fn in caches if fn.cache_info().currsize] == []
-    assert theta._matrix_cache == {}
+
+
+# the cached generator matrices, which a planted fault wraps
+_MATRIX = theta._matrix
+
+
+def _serve(monkeypatch, planted):
+    """Make ``theta._matrix`` return the matrices of ``planted``, keyed by
+    (m, key), and the built ones for every other key; nothing planted
+    enters the cache."""
+    monkeypatch.setattr(theta, "_matrix", lambda m, key: planted[m, key] if (m, key) in planted else _MATRIX(m, key))
 
 
 def _plant(monkeypatch, m, key):
-    """Cache the sparse matrix of ``key`` with 1 added at (0, 0), and
-    nothing else; the other matrices are rebuilt on demand."""
-    bad = [dict(r) for r in theta._matrix(m, key)]
+    """Serve the sparse matrix of ``key`` with 1 added at (0, 0), and
+    every other matrix as built."""
+    bad = [dict(r) for r in _MATRIX(m, key)]
     entry = bad[0].get(0, LaurentPoly.zero(GS_PROFILE)) + LaurentPoly.one(GS_PROFILE)
     if entry.is_zero():
         del bad[0][0]
     else:
         bad[0][0] = entry
-    monkeypatch.setattr(theta, "_matrix_cache", {(m, key): bad})
+    _serve(monkeypatch, {(m, key): bad})
 
 
 # every planted fault below: (m, key); each one fails the relations
@@ -243,7 +252,7 @@ def test_fault_carried_along_the_unit_chain_fails_bernstein(monkeypatch):
                 t = theta._add(theta._matrix(m, f"T[{k}]"), theta._scalar_matrix(m, one - gs(0, 2)))
                 tnt = theta._poly_mat_mul(theta._poly_mat_mul(t, n), t)
                 n = [{j: x * v_inv for j, x in row.items()} for row in tnt]
-        monkeypatch.setattr(theta, "_matrix_cache", planted)
+        _serve(monkeypatch, planted)
         fails = theta.check_defining_relations(m)
         eps1 = (1,) + (0,) * (m - 1)
         assert fails and all(f.endswith(f" lam={eps1}") and f.split()[1] != "T[1]" for f in fails), (m, fails)

@@ -230,10 +230,10 @@ def test_conjugate_simple():
                 assert lhs == weyl.simple_reflection(m, weyl.conjugate_simple(m, i, j))
 
 
-def deque_bfs_lengths(m, lam_bound, slack=4):
-    """The whole distance table by a deque 0-1 BFS over the same pruned
-    Cayley graph: the oracle for the layer-by-layer ``bfs_lengths``."""
-    cap = lam_bound + slack
+def deque_bfs_lengths(m, cap):
+    """The whole distance table by a deque 0-1 BFS over the Cayley graph
+    pruned to |lambda_i| <= cap: the oracle for the layer-by-layer
+    ``bfs_lengths``."""
     gens1 = [weyl.simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
     gens0 = [weyl.omega(m, 1), weyl.omega(m, -1)]
     start = weyl.identity(m)
@@ -261,9 +261,9 @@ def deque_bfs_lengths(m, lam_bound, slack=4):
 
 @pytest.mark.parametrize("m, size", [(1, 13), (2, 338), (3, 13_182)])
 def test_bfs_lengths_match_the_deque_bfs(m, size):
-    pairs = list(bfs_lengths(m, 2))
+    pairs = list(bfs_lengths(m))
     assert len(pairs) == size  # each element yielded once
-    assert dict(pairs) == deque_bfs_lengths(m, 2)
+    assert dict(pairs) == deque_bfs_lengths(m, verify._BFS_BOX + verify._BFS_SLACK)
 
 
 def test_bfs_check_memory_does_not_grow_with_the_graph():
@@ -293,7 +293,7 @@ def test_bfs_check_memory_does_not_grow_with_the_graph():
 def test_bfs_oracle_small():
     # exhaustive for m <= 3, |lam_i| <= 2
     for m in (1, 2, 3):
-        table = dict(bfs_lengths(m, 2))
+        table = dict(bfs_lengths(m))
         for lam in product(range(-2, 3), repeat=m):
             for perm in permutations(range(m)):
                 w = weyl.AffineWeylElt(lam, perm)
