@@ -214,46 +214,58 @@ def bfs_lengths(m: int) -> Iterator[tuple[weyl.AffineWeylElt, int]]:
     weight-0 moves w -> w omega^(+-1), pruned to |lambda_i| <= _BFS_BOX +
     _BFS_SLACK; each w once, one layer (all w at one distance d) at a time.
 
+    The search walks windows u = ``weyl.window(w)``, each move one of the
+    tuple moves of ``weyl``, and yields ``weyl.from_window(u)``.  Since
+    u(k) = w(k) - m lambda_{w(k)} with 1 <= w(k) <= m, the cap
+    |lambda_i| <= c is 1 - cm <= u(k) <= (c + 1)m for every k.  The s_i
+    with i < m permute the entries and keep it; s_m and omega^(+-1) change
+    at most the first entry, downwards, and the last, upwards, so the cap
+    is checked there alone.  Within the cap the Omega moves from u reach an
+    interval of its Omega orbit: omega moves every entry up or keeps it, so
+    the minimum and the maximum of omega^j u both grow with j.
+
     This is frontier search (Korf, Zhang, Thayer and Hohwald, "Frontier
     search", J. ACM 52(5), 2005): only layers d - 1 and d are held while
     layer d + 1 is built.  It is exact because the pruned graph is
-    undirected: each s_i is an involution, omega and omega^-1 are both
-    moves, and pruning removes vertices, not edges.  So the distances at the
-    two ends of an edge of weight c differ by at most c: an s_i-neighbour of
-    layer d lies in layer d - 1, d or d + 1, and an Omega-neighbour of layer
-    d lies in layer d.  A shortest path to a vertex of layer d + 1 ends with
-    one s_i move out of layer d followed by Omega moves only, so layer d + 1
-    is the set of s_i-neighbours of layer d that lie in neither layer d - 1
-    nor layer d, closed under the in-cap Omega moves."""
+    undirected: each window move of s_i is an involution, those of omega
+    and omega^-1 are inverse to each other and both are moves, and pruning
+    removes vertices (windows outside the cap), not edges.  So the
+    distances at the two ends of an edge of weight c differ by at most c:
+    an s_i-neighbour of layer d lies in layer d - 1, d or d + 1, and an
+    Omega-neighbour of layer d lies in layer d.  A shortest path to a
+    vertex of layer d + 1 ends with one s_i move out of layer d followed by
+    Omega moves only, so layer d + 1 is the set of s_i-neighbours of layer d
+    that lie in neither layer d - 1 nor layer d, closed under the in-cap
+    Omega moves."""
     cap = _BFS_BOX + _BFS_SLACK
-    gens1 = [weyl.simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
-    gens0 = [weyl.omega(m, 1), weyl.omega(m, -1)]
+    lo, hi = 1 - cap * m, (cap + 1) * m
+    swap, affine, rotate = weyl.window_swap, weyl.window_affine, weyl.window_rotate
+    inner = range(1, m)
 
-    def inside(w: weyl.AffineWeylElt) -> bool:
-        return -cap <= min(w.trans) and max(w.trans) <= cap
-
-    def omega_closure(layer: set[weyl.AffineWeylElt]) -> set[weyl.AffineWeylElt]:
-        stack = list(layer)
-        while stack:
-            cur = stack.pop()
-            for g in gens0:
-                nxt = cur * g
-                if nxt not in layer and inside(nxt):
+    def omega_closure(layer: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+        for u in list(layer):
+            for e in (1, -1):
+                nxt = rotate(u, e)
+                while lo <= nxt[0] and nxt[-1] <= hi and nxt not in layer:
                     layer.add(nxt)
-                    stack.append(nxt)
+                    nxt = rotate(nxt, e)
         return layer
 
-    before: set[weyl.AffineWeylElt] = set()
-    layer = omega_closure({weyl.identity(m)})
+    before: set[tuple[int, ...]] = set()
+    layer = omega_closure({weyl.window(weyl.identity(m))})
     d = 0
     while layer:
-        for w in layer:
-            yield w, d
-        after: set[weyl.AffineWeylElt] = set()
-        for w in layer:
-            for g in gens1:
-                nxt = w * g
-                if nxt not in layer and nxt not in before and inside(nxt):
+        for u in layer:
+            yield weyl.from_window(u), d
+        after: set[tuple[int, ...]] = set()
+        for u in layer:
+            for i in inner:
+                nxt = swap(u, i)
+                if nxt not in layer and nxt not in before:
+                    after.add(nxt)
+            if m >= 2:
+                nxt = affine(u)
+                if lo <= nxt[0] and nxt[-1] <= hi and nxt not in layer and nxt not in before:
                     after.add(nxt)
         before, layer = layer, omega_closure(after)
         d += 1
@@ -684,8 +696,9 @@ def _weyl_bfs(c: _Ctx):
     m = c.m
     reached = set()  # the elements of the box |lambda_i| <= _BFS_BOX
     for elt, d in bfs_lengths(m):
-        if weyl.length(elt) != d or weyl.window_inversions(elt) != d:
-            return f"length mismatch at {elt}: bfs={d} formula={weyl.length(elt)}"
+        formula, inversions = weyl.length(elt), weyl.window_inversions(elt)
+        if formula != d or inversions != d:
+            return f"length mismatch at {elt}: bfs={d} length={formula} window_inversions={inversions}"
         if -_BFS_BOX <= min(elt.trans) and max(elt.trans) <= _BFS_BOX:
             reached.add(elt)
     for lam in product(range(-_BFS_BOX, _BFS_BOX + 1), repeat=m):

@@ -11,10 +11,25 @@ The length function is the closed formula
 
 cross-checked in the test suite against an inversion count in the periodic
 permutation model (u(k) = w(k) - m*lam_{w(k)}, u(k+m) = u(k)+m) and against
-breadth-first search over the Cayley graph.  Right descents, and so the
-greedy reduced words, are read off that window.  The length-zero subgroup
-Omega is infinite cyclic, generated by w1 = t^{-omega_1} sigma_1 where
-sigma_i is the rotation sending (1,...,m) to (i+1,...,m,1,...,i).
+breadth-first search over the Cayley graph.
+
+Window model (Bjoerner and Brenti, *Combinatorics of Coxeter Groups*, GTM
+231, section 8.3): ``window(w)`` is [u(1), ..., u(m)] and ``from_window``
+inverts it.  Right multiplication by a generator is one tuple move on the
+window, written once here and read by ``reduced_word`` and by the BFS
+oracle in ``verify``:
+
+* w s_i, for i < m, swaps u(i) and u(i+1) (``window_swap``);
+* w s_m replaces (u(1), u(m)) by (u(m) - m, u(1) + m) (``window_affine``);
+* w w1^(+-1) rotates the window one place left or right, and the entry
+  that wraps around is shifted by +-m (``window_rotate``).
+
+Right descents, and so the greedy reduced words, are read off the window and
+stripped by these moves.
+
+The length-zero subgroup Omega is infinite cyclic, generated by
+w1 = t^{-omega_1} sigma_1 where sigma_i is the rotation sending (1,...,m)
+to (i+1,...,m,1,...,i).
 
 Note the sign: with the affine simple reflection fixed as
 s_m = t^{(-1,0,...,0,1)} (1 m), the length-zero elements are t^{-omega_i}
@@ -44,6 +59,10 @@ __all__ = [
     "reduced_word",
     "conjugate_simple",
     "window",
+    "from_window",
+    "window_swap",
+    "window_affine",
+    "window_rotate",
     "window_inversions",
     "parse_weyl",
     "format_weyl",
@@ -172,8 +191,42 @@ def length(w: AffineWeylElt) -> int:
 def window(w: AffineWeylElt) -> tuple[int, ...]:
     """The periodic-permutation window [u(1),...,u(m)], 1-based values,
     where u(k) = w(k) - m*lam_{w(k)} and u(k+m) = u(k) + m."""
-    m = w.m
-    return tuple(w.perm[k] + 1 - m * w.trans[w.perm[k]] for k in range(m))
+    lam, perm = w
+    m = len(lam)
+    return tuple([p + 1 - m * lam[p] for p in perm])
+
+
+def from_window(u) -> AffineWeylElt:
+    """The element whose window is u: u(k) - 1 = (w(k) - 1) - m lambda_{w(k)}
+    with 0 <= w(k) - 1 < m, so both are read off one divmod."""
+    m = len(u)
+    lam = [0] * m
+    perm = []
+    for v in u:
+        q, p = divmod(v - 1, m)
+        lam[p] = -q
+        perm.append(p)
+    return AffineWeylElt(tuple(lam), tuple(perm))
+
+
+def window_swap(u: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The window of w s_i, 1 <= i < m, from the window u of w."""
+    return u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
+
+
+def window_affine(u: tuple[int, ...]) -> tuple[int, ...]:
+    """The window of w s_m, m >= 2, from the window u of w."""
+    m = len(u)
+    return (u[-1] - m,) + u[1:-1] + (u[0] + m,)
+
+
+def window_rotate(u: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The window of w w1^e, e = +-1, from the window u of w:
+    (w w1)(k) = w(k + 1) and (w w1^-1)(k) = w(k - 1)."""
+    m = len(u)
+    if e > 0:
+        return u[1:] + (u[0] + m,)
+    return (u[-1] - m,) + u[:-1]
 
 
 def window_inversions(w: AffineWeylElt) -> int:
@@ -194,26 +247,32 @@ def window_inversions(w: AffineWeylElt) -> int:
 def reduced_word(w: AffineWeylElt) -> tuple[int, list[int]]:
     """Decompose w = w1^k * s_{i1} ... s_{il} with l = length(w).
 
-    Greedy right-descent stripping, smallest index first.  A right descent
-    is read off the window: s_i for i < m is one iff u(i) > u(i+1), and the
-    affine node s_m iff u(m) > u(m+1) = u(1) + m.  An element without one
-    has length zero; the Omega power k is read off its translation.
-    Recomposition is exact.
+    Greedy right-descent stripping, smallest index first, on the window u.
+    A right descent s_i for i < m is one iff u(i) > u(i+1), and the affine
+    node s_m iff u(m) > u(m+1) = u(1) + m.  Stripping s_i, i < m, moves
+    u(i) and u(i+1) alone, so no comparison left of i - 1 changes and the
+    next smallest descent is at i - 1 or later; stripping s_m moves u(1),
+    so the scan starts again at 1.  An element without a descent has length
+    zero, and its Omega power k = -sum lambda is read off its window sum
+    m(m+1)/2 - m sum lambda.  Recomposition is exact.
     """
-    m = w.m
-    gens = [simple_reflection(m, i) for i in range(1, m + 1)] if m >= 2 else []
-    cur = w
+    u = window(w)
+    m = len(u)
     records: list[int] = []
-    while gens:
-        u = window(cur)
-        u += (u[0] + m,)
-        i = next((i for i in range(1, m + 1) if u[i - 1] > u[i]), 0)
-        if not i:
-            break
-        records.append(i)
-        cur = cur * gens[i - 1]
-    k = -sum(cur.trans)
-    if cur != omega(m, k):
+    i = 1
+    while i <= m:
+        if u[i - 1] > (u[i] if i < m else u[0] + m):
+            records.append(i)
+            if i < m:
+                u = window_swap(u, i)
+                i = max(i - 1, 1)
+            else:
+                u = window_affine(u)
+                i = 1
+        else:
+            i += 1
+    k = (sum(u) - m * (m + 1) // 2) // m
+    if u != window(omega(m, k)):
         raise AssertionError("leftover is not a length-zero element")
     return k, records[::-1]
 

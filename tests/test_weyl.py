@@ -100,14 +100,34 @@ def test_one_element_four_ways():
 @pytest.mark.parametrize("name", ["length", "window_inversions"])
 def test_planted_length_fault_fails_bfs_check(monkeypatch, name):
     # the second target lies on the pruning boundary |lambda_i| = 2 + 4,
-    # outside the box whose reach the check tests
+    # outside the box whose reach the check tests; the message gives the BFS
+    # distance and both length values, the planted one off by one
     honest = getattr(weyl, name)
-    for literal in ("t[2,0,-2]*p[1,2,3]", "t[6,0,-6]*p[1,2,3]"):
+    for literal, d in (("t[2,0,-2]*p[1,2,3]", 8), ("t[6,0,-6]*p[1,2,3]", 24)):
         target = weyl.parse_weyl(3, literal)
         monkeypatch.setattr(weyl, name, lambda w, target=target: honest(w) + (w == target))
         check = verify.run_check("hecke", "weyl-length-bfs", 3)
         assert check.status == "fail"
-        assert literal in check.counterexample
+        values = {"length": d, "window_inversions": d, name: d + 1}
+        assert check.counterexample == (
+            f"length mismatch at {literal}: bfs={d} "
+            f"length={values['length']} window_inversions={values['window_inversions']}"
+        )
+
+
+def test_planted_window_rule_fault_fails_bfs_check(monkeypatch):
+    # the s_m move without its +-m shift swaps u(1) and u(m).  Only the BFS
+    # runs under the plant: reduced_word reads the same rule, and its greedy
+    # walk cycles on it.  At m = 2 the faulty move is s_1's, and
+    # s_2 = w1 s_1 w1^-1 is still reached at weight 1, so the check passes
+    # and the table equals the deque oracle's (measured: all 338 elements)
+    monkeypatch.setattr(weyl, "window_affine", lambda u: (u[-1],) + u[1:-1] + (u[0],))
+    cap = verify._BFS_BOX + verify._BFS_SLACK
+    assert verify.run_check("hecke", "weyl-length-bfs", 2).status == "pass"
+    check = verify.run_check("hecke", "weyl-length-bfs", 3)
+    assert check.status == "fail"
+    assert check.counterexample.startswith("length mismatch at ")
+    assert dict(bfs_lengths(3)) != deque_bfs_lengths(3, cap)
 
 
 def test_length_known_values():
@@ -197,6 +217,21 @@ weyl_elts = st.integers(1, 6).flatmap(
         st.permutations(range(m)).map(tuple),
     )
 )
+
+
+@settings(max_examples=300)
+@given(weyl_elts)
+def test_window_moves_are_the_group_product(w):
+    # each tuple move of the window is right multiplication by its generator
+    m = w.m
+    u = weyl.window(w)
+    assert weyl.from_window(u) == w
+    for i in range(1, m):
+        assert weyl.window(w * weyl.simple_reflection(m, i)) == weyl.window_swap(u, i)
+    if m >= 2:
+        assert weyl.window(w * weyl.simple_reflection(m, m)) == weyl.window_affine(u)
+    for e in (1, -1):
+        assert weyl.window(w * weyl.omega(m, e)) == weyl.window_rotate(u, e)
 
 
 @settings(max_examples=300)
