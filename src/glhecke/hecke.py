@@ -33,8 +33,12 @@ a finite letter is ``right_mul_gen``, and the affine letter uses
 reading T_u T_{s_m} from a table keyed by u in S_m (``functools.cache`` on
 ``_affine_right``: at most m! entries per rank, each built once by the
 product), so the step only shifts exponents by lam and multiplies
-coefficients, in the same accumulation as the product.  The reduced words,
-the T_{w_1} powers and the affine generator are cached the same way.
+coefficients.  The T_{w_1} powers and the affine generator are cached the
+same way.
+
+Every element built from terms (sums, generator steps, products) passes
+one accumulator, ``_collect``, which drops cancelled keys and checks the term
+cap once; finite words (``perm_word``) are ``weyl.reduced_word``'s.
 
 Literals ``(s^2 - 1)*e[1,0]*T[1] + Tw[-2]`` are read by ``parse_hecke`` on
 the shared ``laurent.TokenCursor``; coefficients use its polynomial rule.
@@ -69,17 +73,7 @@ def _s_power(k: int) -> LaurentPoly:
 @cache
 def perm_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Reduced word (1-based letters) with perm = s_{i1} o ... o s_{il}."""
-    w = list(perm)
-    records: list[int] = []
-    while True:
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                w[i], w[i + 1] = w[i + 1], w[i]
-                records.append(i + 1)
-                break
-        else:
-            break
-    return tuple(reversed(records))
+    return tuple(weyl.reduced_word(weyl.from_perm(perm))[1])
 
 
 class HeckeElt:
@@ -120,9 +114,7 @@ class HeckeElt:
         if not 1 <= i <= m:
             raise ValueError(f"generator index {i} out of range for m={m}")
         if i < m:
-            perm = list(range(m))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            return HeckeElt(m, {((0,) * m, tuple(perm)): ONE_S})
+            return HeckeElt.basis(m, (0,) * m, weyl.simple_reflection(m, i).perm)
         return _affine_gen(m)
 
     @staticmethod
@@ -135,16 +127,7 @@ class HeckeElt:
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         if self.m != other.m:
             raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            c2 = terms.get(key)
-            c2 = c if c2 is None else c2 + c
-            if c2.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = c2
-        check_terms(len(terms))
-        return HeckeElt(self.m, terms)
+        return _collect(self.m, other.terms.items(), self.terms)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
         return self + other.scale(-1)
@@ -168,66 +151,48 @@ class HeckeElt:
 
     def left_mul_gen(self, i: int) -> "HeckeElt":
         """T_{s_i} * self for a finite index 1 <= i < m."""
-        m = self.m
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-
-        def bump(lam, perm, c):
-            key = (lam, perm)
-            c2 = out.get(key)
-            c2 = c if c2 is None else c2 + c
-            if c2.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c2
-
         a, b = i - 1, i  # 0-indexed values swapped by s_i
-        for (lam, w), c in self.terms.items():
-            swl = list(lam)
-            swl[a], swl[b] = swl[b], swl[a]
-            swl = tuple(swl)
-            # T_i T_w: ascent iff value a sits left of value b in w
-            ia, ib = w.index(a), w.index(b)
-            sw = list(w)
-            sw[ia], sw[ib] = b, a
-            sw = tuple(sw)
-            if ia < ib:
-                bump(swl, sw, c)
-            else:
-                bump(swl, w, V_MINUS_1 * c)
-                bump(swl, sw, V * c)
-            # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; the sign
-            # of the telescoping sum goes into the (1 - v) factor
-            sign, js = demazure_range(swl[a] - swl[b])
-            if js:
-                cdq = (ONE_MINUS_V if sign > 0 else V_MINUS_1) * c
-                head, x, y, tail = swl[:a], swl[a], swl[b], swl[b + 1 :]
-                for j in js:
-                    bump((*head, x - j, y + j, *tail), w, cdq)
-        check_terms(len(out))
-        return HeckeElt(m, out)
+
+        def pairs():
+            for (lam, w), c in self.terms.items():
+                swl = list(lam)
+                swl[a], swl[b] = swl[b], swl[a]
+                swl = tuple(swl)
+                # T_i T_w: ascent iff value a sits left of value b in w
+                ia, ib = w.index(a), w.index(b)
+                sw = list(w)
+                sw[ia], sw[ib] = b, a
+                sw = tuple(sw)
+                if ia < ib:
+                    yield (swl, sw), c
+                else:
+                    yield (swl, w), V_MINUS_1 * c
+                    yield (swl, sw), V * c
+                # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; the sign
+                # of the telescoping sum goes into the (1 - v) factor
+                sign, js = demazure_range(swl[a] - swl[b])
+                if js:
+                    cdq = (ONE_MINUS_V if sign > 0 else V_MINUS_1) * c
+                    head, x, y, tail = swl[:a], swl[a], swl[b], swl[b + 1 :]
+                    for j in js:
+                        yield ((*head, x - j, y + j, *tail), w), cdq
+
+        return _collect(self.m, pairs())
 
     def right_mul_gen(self, i: int) -> "HeckeElt":
         """self * T_{s_i} for a finite index; no Bernstein rewriting needed."""
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-
-        def bump(key, c):
-            prev = out.get(key)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-
         a = i - 1
-        for (lam, w), c in self.terms.items():
-            sw = w[:a] + (w[a + 1], w[a]) + w[a + 2 :]
-            if w[a] < w[a + 1]:
-                bump((lam, sw), c)
-            else:
-                bump((lam, w), V_MINUS_1 * c)
-                bump((lam, sw), V * c)
-        check_terms(len(out))
-        return HeckeElt(self.m, out)
+
+        def pairs():
+            for (lam, w), c in self.terms.items():
+                sw = w[:a] + (w[a + 1], w[a]) + w[a + 2 :]
+                if w[a] < w[a + 1]:
+                    yield (lam, sw), c
+                else:
+                    yield (lam, w), V_MINUS_1 * c
+                    yield (lam, sw), V * c
+
+        return _collect(self.m, pairs())
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if self.m != other.m:
@@ -277,6 +242,23 @@ class HeckeElt:
         return f"HeckeElt({self!s})"
 
 
+def _collect(m: int, pairs: Iterable, terms: dict | None = None) -> HeckeElt:
+    """The element with a copy of ``terms`` plus c * e^lam T_w for every
+    ((lam, w), c) in pairs: coefficients at one key add, a key whose sum
+    cancels is dropped, and the result must fit GLHECKE_MAX_TERMS."""
+    out = {} if terms is None else dict(terms)
+    for key, c in pairs:
+        prev = out.get(key)
+        if prev is not None:
+            c = prev + c
+        if c.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = c
+    check_terms(len(out))
+    return HeckeElt(m, out)
+
+
 def _left_mul_perm(w: tuple[int, ...], x: HeckeElt) -> HeckeElt:
     """T_w * x, one ``left_mul_gen`` per letter of the reduced word of w."""
     for i in reversed(perm_word(w)):
@@ -289,20 +271,13 @@ def _shifted_sum(
 ) -> HeckeElt:
     """sum c * e^lam * x over the (lam, c, x) in parts: e^lam moves every
     exponent of x by lam, and c multiplies its coefficients."""
-    out: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-    for lam1, c1, x in parts:
-        trivial = not any(lam1)
-        for (lam2, w2), c2 in x.terms.items():
-            key = (lam2 if trivial else tuple(map(add, lam1, lam2)), w2)
-            c3 = c1 * c2
-            prev = out.get(key)
-            c3 = c3 if prev is None else prev + c3
-            if c3.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c3
-    check_terms(len(out))
-    return HeckeElt(m, out)
+    pairs = [
+        ((tuple(map(add, lam1, lam2)) if shift else lam2, w2), c1 * c2)
+        for lam1, c1, x in parts
+        for shift in [any(lam1)]
+        for (lam2, w2), c2 in x.terms.items()
+    ]
+    return _collect(m, pairs)
 
 
 # -- Omega generators and the affine node ---------------------------------

@@ -143,11 +143,10 @@ def report_text(report: VerificationReport) -> str:
 # -- random element generation ---------------------------------------------------
 
 
-def _random_basis(m: int, rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair (lam, w) of e^lam T_w with lam in {-1, 0, 1}^m; w is uniform
-    in S_m at m <= 4 and a product of at most three adjacent transpositions
-    above, where one triple product of uniform draws can take seconds."""
-    lam = tuple(rng.randint(-1, 1) for _ in range(m))
+def _random_perm(m: int, rng: random.Random) -> tuple[int, ...]:
+    """w uniform in S_m at m <= 4 and a product of at most three adjacent
+    transpositions above, where one triple product of uniform draws can take
+    seconds."""
     perm = list(range(m))
     if m <= 4:
         rng.shuffle(perm)
@@ -155,24 +154,24 @@ def _random_basis(m: int, rng: random.Random) -> tuple[tuple[int, ...], tuple[in
         for _ in range(rng.randint(0, 3)):
             i = rng.randint(0, m - 2)
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return lam, tuple(perm)
+    return tuple(perm)
+
+
+def _random_basis(m: int, rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (lam, w) of e^lam T_w with lam in {-1, 0, 1}^m and w from
+    ``_random_perm``."""
+    return tuple(rng.randint(-1, 1) for _ in range(m)), _random_perm(m, rng)
 
 
 def _random_weyl(m: int, rng: random.Random, bound: int = 2) -> weyl.AffineWeylElt:
     if m <= 4:
-        lam = tuple(rng.randint(-bound, bound) for _ in range(m))
-        perm = list(range(m))
-        rng.shuffle(perm)
-        return weyl.AffineWeylElt(lam, tuple(perm))
-    # sparse translations and short words keep t_element tractable at high rank
-    lam = [0] * m
-    for _ in range(rng.randint(0, 2)):
-        lam[rng.randint(0, m - 1)] = rng.randint(-1, 1)
-    perm = list(range(m))
-    for _ in range(rng.randint(0, 3)):
-        i = rng.randint(0, m - 2)
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return weyl.AffineWeylElt(tuple(lam), tuple(perm))
+        lam = [rng.randint(-bound, bound) for _ in range(m)]
+    else:
+        # sparse translations and short words keep t_element tractable at high rank
+        lam = [0] * m
+        for _ in range(rng.randint(0, 2)):
+            lam[rng.randint(0, m - 1)] = rng.randint(-1, 1)
+    return weyl.AffineWeylElt(tuple(lam), _random_perm(m, rng))
 
 
 def _default_box(m: int) -> list[tuple[int, ...]]:

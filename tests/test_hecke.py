@@ -340,8 +340,8 @@ LEFT_ACTION_FAULTS = {
     "bernstein-sign": [("(ONE_MINUS_V if sign > 0 else V_MINUS_1)", "ONE_MINUS_V")],
     # v - 1 and v trade places when T_i meets a descent of T_w
     "descent-swap": [
-        ("bump(swl, w, V_MINUS_1 * c)", "bump(swl, w, V * c)"),
-        ("bump(swl, sw, V * c)", "bump(swl, sw, V_MINUS_1 * c)"),
+        ("yield (swl, w), V_MINUS_1 * c", "yield (swl, w), V * c"),
+        ("yield (swl, sw), V * c", "yield (swl, sw), V_MINUS_1 * c"),
     ],
 }
 
@@ -355,6 +355,52 @@ def test_planted_left_action_fault_fails_associativity(monkeypatch, fresh_caches
         relation, _, b = check.counterexample.rpartition(" b=")
         assert relation.split()[0] in ("quadratic", "braid", "commute", "bernstein"), (name, check)
         assert len(parse_hecke(m, b).terms) == 1, (name, check)
+
+
+def test_planted_collect_fault_fails_quadratic_and_t_inverse(monkeypatch, fresh_caches):
+    # every sum, generator step and product merges through _collect; one that
+    # keeps cancelled keys as zero coefficients makes T_s^2 and T_s T_s^-1
+    # carry zero terms, so they no longer equal their reduced forms
+    collect = hecke._collect
+
+    def keeps_cancelled(m, pairs, terms=None):
+        pairs = list(pairs)
+        out = collect(m, pairs, terms)
+        for key, _ in pairs:
+            out.terms.setdefault(key, LaurentPoly.zero(S_PROFILE))
+        return out
+
+    monkeypatch.setattr(hecke, "_collect", keeps_cancelled)
+    for stem in ("quadratic", "t-inverse"):
+        check = verify.run_check("hecke", stem, 2)
+        assert check.status == "fail", (stem, check)
+
+
+def bubble_word(perm):
+    """Reduced word of perm by the smallest-index bubble walk: the oracle
+    for the words ``perm_word`` prints in literals."""
+    w, records = list(perm), []
+    while True:
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                w[i], w[i + 1] = w[i + 1], w[i]
+                records.append(i + 1)
+                break
+        else:
+            return tuple(reversed(records))
+
+
+def test_perm_word_is_reduced_and_matches_bubble_walk():
+    for m in range(1, 7):
+        for perm in permutations(range(m)):
+            word = hecke.perm_word(perm)
+            inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+            assert len(word) == inversions, perm
+            g = weyl.identity(m)
+            for i in word:
+                g = g * weyl.simple_reflection(m, i)
+            assert g == weyl.from_perm(perm), perm
+            assert word == bubble_word(perm), perm
 
 
 def test_literals_round_trip():
