@@ -17,7 +17,7 @@ The package implements, with integer-exact arithmetic throughout:
 * ``cli``      - the ``glhecke`` command.
 """
 
-from . import hecke, laurent, linalg, polyrep, springer, theta, verify, weyl
+from . import hecke, laurent, polyrep, springer, theta, verify, weyl
 
-__all__ = ["hecke", "laurent", "linalg", "polyrep", "springer", "theta", "verify", "weyl"]
+__all__ = ["hecke", "laurent", "polyrep", "springer", "theta", "verify", "weyl"]
 __version__ = "0.1.0"

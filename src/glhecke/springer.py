@@ -28,6 +28,18 @@ The j = k term carries the det-normalization factor s^{(k-1)(m-k)}
 (= the weight of det of the fixed part of the flag); dropping it makes the
 solved tuples inconsistent with the end-point fiber values.
 
+The determinant of this system is never computed by elimination; it is the
+closed form s^{sum_k (k-1)(m-k)} (1 - s^2)^{m-2} (1 at m = 1 and 2):
+
+  * the O row is the only row with an X_0 entry, and that entry is 1, so
+    the determinant is that of the X-block;
+  * factor s^{(k-1)(m-k)} out of each L_omega_k row, leaving the rows
+    (1, ..., 1, s^2, s^4, ...) with k ones;
+  * differencing adjacent normalized rows leaves
+    (1 - s^2) (0, ..., 0, 1, s^2, s^4, ...), with the 1 in column k + 1;
+  * the first normalized row and those differences form a unitriangular
+    matrix times m - 2 factors 1 - s^2.
+
 The Hecke action k_act is linear over Z[g^{+-1}, s^{+-1}]: it acts on the
 canonical preimages l_0 = 1, l_i = s^{i(m-i)} e^{omega_i} of the theorem
 basis in the polynomial representation, pushes each result down along
@@ -61,13 +73,13 @@ suite proves the stability from them:
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import polyrep
 from .hecke import HeckeElt
 from .laurent import GS_PROFILE, LaurentPoly, ProfileMismatchError, x_profile
-from .linalg import det_laurent
 
 __all__ = [
     "FixedFlagTable",
@@ -364,12 +376,16 @@ def declared_bases(m: int) -> BasisTables:
     with tail_k = X_k + sum_{j>k} s^{2(j-k)} X_j one has tail_1 = R'_1 and
     (1 - s^2) tail_{k+1} = R'_{k+1} - R'_k, so the only division is by
     1 - s^2 (solved tuples are genuinely rational at nodes).  Every entry is
-    kept as its numerator over 1 - s^2.
+    kept as its numerator over 1 - s^2.  The system determinant is the closed
+    form of the module docstring, built from its binomial terms and not by
+    arithmetic, so it never meets GLHECKE_MAX_TERMS; the ``declared-bases``
+    check multiplies the solution back into ``_system_matrix``.
     """
-    system = _system_matrix(m)
-    det = det_laurent(system)
-    if det.is_zero():
-        raise AssertionError("change-of-basis system is singular")
+    base = sum((k - 1) * (m - k) for k in range(1, m))
+    n = max(m - 2, 0)
+    det = LaurentPoly.from_terms(
+        GS_PROFILE, (((0, base + 2 * i), (-1) ** i * math.comb(n, i)) for i in range(n + 1))
+    )
     o_class = structure_sheaf(m)
     l_classes = [
         restrict_line_bundle(m, [1] * k + [0] * (m - k)) for k in range(1, m)

@@ -15,6 +15,10 @@ their matrices.  Extended indices wrap by IC^{k+m} = g^{-1} IC^k, and
 multiplication by s stands for the cohomological shift [-1], so a shift [1]
 contributes s^{-1} and IC^{k,!} = IC^k - s^{-1} IC^{k-1}.
 
+Freeness of this module needs no computation here: the Tw[1]-orbit of IC^0
+is the transported theorem basis itself, which the ``freeness`` check of
+``verify`` walks through ``springer.k_act``.
+
 The sheaf-function dictionary is deliberately two-headed: the print source
 does not pin the K-class of the normalized intersection form on a one-cell
 closure, so ``ic_sheaf_dictionary`` evaluates both candidate readings
@@ -39,14 +43,12 @@ from typing import NamedTuple
 from . import springer
 from .hecke import HeckeElt, parse_hecke
 from .laurent import GS_PROFILE, LaurentPoly, orbit
-from .linalg import det_laurent
 
 __all__ = [
     "theta_action_matrices",
     "generator_keys",
     "check_defining_relations",
     "check_conjugation",
-    "freeness_determinant",
     "ic_sheaf_dictionary",
     "dictionary_report",
     "OrbitLabel",
@@ -278,21 +280,6 @@ def check_defining_relations(m: int) -> list[str]:
             failures.append("e-multiplicativity through k_act")
             break
     return failures + check_conjugation(m)
-
-
-def freeness_determinant(m: int) -> LaurentPoly:
-    """det C, for C the theorem-basis coordinates of the m vectors
-    Tw[1]^k IC^0, computed by actually iterating the action (not assumed to
-    be a shift).  Their fixed-point matrix is V C, of determinant
-    det V * det C, and the ``rank`` check proves det V != 0 from its step
-    factors, so the orbit is a basis over the fraction field exactly when
-    det C != 0."""
-    w1 = HeckeElt.tw(m, 1)
-    orbit = [springer.structure_sheaf(m)]
-    for _ in range(m - 1):
-        orbit.append(springer.k_act(w1, orbit[-1]))
-    coords = [[orbit[j].coords[k] for j in range(m)] for k in range(m)]
-    return det_laurent(coords)
 
 
 # -- the sheaf-function dictionary ---------------------------------------------

@@ -440,7 +440,23 @@ def _relations(c: _Ctx):
 
 
 def _freeness(c: _Ctx):
-    return True if not theta.freeness_determinant(c.m).is_zero() else "freeness determinant vanished"
+    """The Tw[1]-orbit of O is the theorem basis: Tw[1]^k O = B_k for
+    k = 1..m-1, walked by ``k_act``, with the first k that differs as the
+    witness.  It rests on two premises.  ``rank`` (every step factor of V is
+    nonzero, so the B_k are independent over the fraction field) is run
+    first.  ``module-isomorphism`` checks T_(w_k) O = B_k, and Tw[1] has
+    length 0, so Tw[1]^k = Tw[k]; this check walks the orbit anyway."""
+    premise = _rank(c)
+    if premise is not True:
+        return premise
+    m = c.m
+    w1 = HeckeElt.tw(m, 1)
+    cls = springer.structure_sheaf(m)
+    for k, b in enumerate(springer.theorem_basis(m)[1:], start=1):
+        cls = springer.k_act(w1, cls)
+        if cls != b:
+            return f"Tw[1]^{k} O != B_{k}"
+    return True
 
 
 # -- hecke ----------------------------------------------------------------------------
@@ -858,11 +874,26 @@ def _det_bundle(c: _Ctx):
 
 
 def _basis_tables(c: _Ctx):
-    if springer.declared_bases(c.m).system_det.is_zero():
-        return "change-of-basis determinant vanished"
-    if not springer.bundle_identities_hold(c.m):
+    """The solved Lusztig tuples multiply back: for each row r of
+    ``springer._system_matrix`` and each fixed point p, the sum over j of
+    row[j] times the numerator of X_j at p is 1 - s^2 times the entry at p of
+    O (r = 0) or of L_omega_r.  The system determinant is a closed form that
+    is never zero, so it is not tested; this is the independent check that
+    the solve is right.  Then the bundle and exact-sequence identities."""
+    m = c.m
+    tables = springer.declared_bases(m)
+    targets = [springer.structure_sheaf(m)] + [
+        springer.restrict_line_bundle(m, [1] * r + [0] * (m - r)) for r in range(1, m)
+    ]
+    zero = LaurentPoly.zero(GS_PROFILE)
+    for r, (row, target) in enumerate(zip(springer._system_matrix(m), targets)):
+        for p in range(m):
+            got = sum((a * x[p] for a, x in zip(row, tables.lusztig) if not a.is_zero()), zero)
+            if got != springer.LUSZTIG_DENOMINATOR * target.entries[p]:
+                return f"change-of-basis row {r} does not multiply back at p_{p + 1}"
+    if not springer.bundle_identities_hold(m):
         return "bundle identities failed"
-    if not springer.exact_sequence_identities_hold(c.m):
+    if not springer.exact_sequence_identities_hold(m):
         return "exact-sequence identities failed"
     return True
 

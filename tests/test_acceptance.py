@@ -41,8 +41,8 @@ def test_criterion_02_main_theorem():
 
 
 def test_criterion_03_freeness():
-    label = "Tw1-orbit of IC^0 is a basis, m=1..24"
-    _criterion(3, label, 10, "main-theorem", ["freeness"], range(1, 25))
+    label = "Tw1-orbit of IC^0 is a basis, m=1..64"
+    _criterion(3, label, 10, "main-theorem", ["freeness"], range(1, 65))
 
 
 def test_criterion_04_center():
@@ -68,8 +68,8 @@ def test_errored_check_fails_criterion_05(monkeypatch):
 
 
 def test_criterion_06_basis_system():
-    label = "Lusztig change-of-basis system, m=2..8"
-    _criterion(6, label, 10, "springer", ["declared-bases"], range(2, 9))
+    label = "Lusztig change-of-basis system, m=2..32"
+    _criterion(6, label, 10, "springer", ["declared-bases"], range(2, 33))
 
 
 def test_criterion_07_kernel_stability():

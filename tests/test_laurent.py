@@ -2,6 +2,7 @@
 and the literal grammar."""
 
 import ast
+import importlib.util
 import operator
 import os
 import random
@@ -330,6 +331,70 @@ def test_term_layout_is_private_to_laurent():
             continue
         allowed = LAYOUT_BUILDERS if kind == "build" else LAYOUT_READERS
         assert (module, func) in allowed or (module, None) in allowed, (kind, module, func)
+
+
+_DETERMINANT_NAMES = {"det", "det_laurent", "det_expansion"}
+_LINALG_MODULES = {"linalg", "numpy", "scipy", "sympy"}
+
+
+def _names_a_determinant(name):
+    name = name.lower().strip("_")
+    return name in _DETERMINANT_NAMES or "determinant" in name or "bareiss" in name
+
+
+def determinant_uses(path):
+    """(line, what) for each function defined, imported or called under a
+    determinant's name, and each import of a linear-algebra module, in one
+    module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _names_a_determinant(node.name):
+            out.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            out += [
+                (node.lineno, f"import {name}") for name in names
+                if _names_a_determinant(name) or set(name.split(".")) & _LINALG_MODULES
+            ]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if _names_a_determinant(name):
+                out.append((node.lineno, f"call {name}"))
+    return out
+
+
+def test_no_determinant_on_a_program_path(tmp_path):
+    # the walker sees each forbidden form
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .linalg import solve\nimport numpy.linalg\nfrom . import det_laurent\n"
+        "def freeness_determinant(m):\n    return bareiss(m)\n"
+    )
+    assert [what for _, what in determinant_uses(probe)] == [
+        "import linalg", "import numpy.linalg", "import det_laurent",
+        "def freeness_determinant", "call bareiss",
+    ]
+    found = {path.stem: determinant_uses(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
+    # linalg stays a docstring while the benchmark's tracer still imports it
+    linalg = PACKAGE / "linalg.py"
+    if linalg.exists():
+        assert [type(node) for node in ast.parse(linalg.read_text()).body] == [ast.Expr]
+
+
+def test_every_traced_layer_imports():
+    # the benchmark's tracer imports glhecke.<layer> for every layer it
+    # lists, so deleting a layer module before the tracer drops it must fail
+    # here, not in the benchmark; the tracer is loaded by path, unchanged
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert "springer" in tracer.LAYERS
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"glhecke.{layer}")
 
 
 def _is_empty_dict(node):

@@ -1,5 +1,6 @@
-"""Exact linear algebra: two determinant routes, and hand examples of the
-nullspace of the box-kernel oracle (``box_kernel``)."""
+"""Exact linear algebra of the test oracles: the two determinant routes of
+``det_oracle``, and hand examples of the nullspace of the box-kernel oracle
+(``box_kernel``)."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from box_kernel import nullspace
+from det_oracle import det_expansion, det_laurent
 from glhecke.laurent import GS_PROFILE, LaurentPoly
-from glhecke.linalg import det_expansion, det_laurent
 
 
 def rand_poly(rng, max_terms=3):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_kernel
+from det_oracle import det_expansion, det_laurent
 from orbit_oracle import elementary, orbit_scalar
 from glhecke import laurent, polyrep, springer, verify, weyl
 from glhecke.hecke import HeckeElt, t_element
 from glhecke.laurent import GS_PROFILE, LaurentPoly, parse_poly, x_profile
-from glhecke.linalg import det_expansion, det_laurent
 
 
 def gs(ge, se, c=1):
@@ -91,6 +91,33 @@ def test_bundle_and_exact_sequence_identities():
         assert not springer.declared_bases(m).system_det.is_zero()
 
 
+def test_system_det_closed_form():
+    # s^(sum_k (k-1)(m-k)) (1 - s^2)^(m-2) is the determinant of the
+    # change-of-basis system; Bareiss and the permutation expansion are
+    # independent oracles
+    for m in range(1, 10):
+        det = springer.declared_bases(m).system_det
+        assert det == det_laurent(springer._system_matrix(m)), m
+        if m <= 6:
+            assert det == det_expansion(springer._system_matrix(m)), m
+
+
+def test_declared_bases_fails_on_a_flat_step(monkeypatch):
+    # a flat step in one change-of-basis row no longer matches the solved
+    # tuples, and multiplying back must say so
+    def flattened(m):
+        rows = true_matrix(m)
+        rows[1][2] = rows[1][1]
+        return rows
+
+    true_matrix = springer._system_matrix
+    monkeypatch.setattr(springer, "_system_matrix", flattened)
+    for m in (3, 4, 6):
+        check = verify.run_check("springer", "declared-bases", m)
+        assert check.status == "fail", m
+        assert check.counterexample.startswith("change-of-basis row 1 does not multiply back"), m
+
+
 def test_skyscraper_support():
     for m in (2, 3, 5):
         pm = springer.skyscraper_pm(m)
@@ -142,7 +169,7 @@ def test_theorem_data_rejects_a_non_step_basis(monkeypatch, fresh_caches):
 
 def test_rank_fails_on_a_constant_column(monkeypatch, fresh_caches):
     # a constant column i makes the step factor a_i - b_i zero, so V is
-    # singular and the rank check must say so
+    # singular and the rank check must say so; freeness runs rank first
     def flattened(m):
         basis = list(true_basis(m))
         e = basis[m // 2].entries
@@ -152,25 +179,29 @@ def test_rank_fails_on_a_constant_column(monkeypatch, fresh_caches):
     true_basis = springer.theorem_basis
     monkeypatch.setattr(springer, "theorem_basis", flattened)
     for m in (2, 3, 6):
-        assert verify.run_check("springer", "rank", m).status == "fail", m
+        rank = verify.run_check("springer", "rank", m)
+        assert rank.status == "fail", m
+        for suite in ("theta", "main-theorem"):
+            freeness = verify.run_check(suite, "freeness", m)
+            assert freeness.status == "fail", (suite, m)
+            assert freeness.counterexample == rank.counterexample, (suite, m)
 
 
-def test_k_act_makes_no_determinant_calls(monkeypatch, fresh_caches):
-    calls = []
+def test_freeness_runs_the_rank_premise_first(monkeypatch, fresh_caches):
+    # a flat step factor in the step table: rank finds V singular, and
+    # freeness must say the same before its orbit walk divides by zero
+    def flat(m):
+        steps = list(true_data(m))
+        steps[0] = (steps[0][0], LaurentPoly.zero(GS_PROFILE))
+        return steps
 
-    def counting(mat):
-        calls.append(len(mat))
-        return det_laurent(mat)
-
-    monkeypatch.setattr(springer, "det_laurent", counting)
-    for m in range(1, 7):
-        basis = springer.theorem_basis(m)
-        gens = [HeckeElt.gen(m, i) for i in range(1, m + 1)] if m >= 2 else []
-        gens += [HeckeElt.tw(m, 1), HeckeElt.tw(m, -1), HeckeElt.e((1,) + (0,) * (m - 1))]
-        for h in gens:
-            for b in basis:
-                springer.k_act(h, b)
-        assert calls == [], m
+    true_data = springer._theorem_data
+    monkeypatch.setattr(springer, "_theorem_data", flat)
+    want = "theorem basis tuple matrix is singular"
+    for m in (2, 3, 6):
+        assert verify.run_check("springer", "rank", m).counterexample == want, m
+        for suite in ("theta", "main-theorem"):
+            assert verify.run_check(suite, "freeness", m).counterexample == want, (suite, m)
 
 
 def test_coords_round_trip():

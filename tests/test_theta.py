@@ -8,12 +8,12 @@ import os
 import pytest
 from conftest import _package_caches
 from dense_relations import box_multiplicativity_failures, check_dense_relations, dense, dense_mat_mul
+from det_oracle import det_laurent
 from orbit_oracle import orbit_scalar
 
 from glhecke import laurent, polyrep, springer, theta, verify
 from glhecke.hecke import HeckeElt, parse_hecke
 from glhecke.laurent import GS_PROFILE, LaurentPoly, demazure_exponents, x_profile
-from glhecke.linalg import det_laurent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -333,13 +333,29 @@ def test_bernstein_on_lifted_vectors():
 
 def test_freeness():
     for m in range(1, 6):
-        assert not theta.freeness_determinant(m).is_zero()
+        for suite in ("theta", "main-theorem"):
+            assert verify.run_check(suite, "freeness", m).status == "pass", (suite, m)
+
+
+def test_freeness_fails_on_an_orbit_that_skips_a_class(monkeypatch):
+    # Tw[1] applied twice to B_1 skips B_2, and the walk must name that step
+    def doubled(h, c):
+        out = true_k_act(h, c)
+        if h == w1 and c == springer.theorem_basis(c.m)[1]:
+            out = true_k_act(h, out)
+        return out
+
+    true_k_act = springer.k_act
+    w1 = HeckeElt.tw(4, 1)
+    monkeypatch.setattr(springer, "k_act", doubled)
+    check = verify.run_check("main-theorem", "freeness", 4)
+    assert (check.status, check.counterexample) == ("fail", "Tw[1]^2 O != B_2")
 
 
 def test_freeness_from_coordinates():
-    # the Tw[1]-orbit of IC^0 has identity coordinates, so it is a basis over
-    # the Laurent ring; the Bareiss determinant of its fixed-point matrix is
-    # the oracle for det V * det C, with det V the product of the step
+    # the Tw[1]-orbit of IC^0 has identity coordinates C, so it is a basis
+    # over the Laurent ring; the Bareiss determinant of its fixed-point
+    # matrix V C = V is the oracle for det V, the signed product of the step
     # factors of V
     for m in range(1, 9):
         orbit = [springer.structure_sheaf(m)]
@@ -351,7 +367,7 @@ def test_freeness_from_coordinates():
         det_v = LaurentPoly.one(GS_PROFILE) * (-1) ** (m - 1)
         for _, diff in springer._theorem_data(m):
             det_v = det_v * diff
-        assert det_laurent(fixed) == det_v * theta.freeness_determinant(m), m
+        assert det_laurent(fixed) == det_v, m
 
 
 def test_main_theorem_fits_a_small_term_cap(monkeypatch, fresh_caches):
