@@ -9,7 +9,10 @@ T-letters one reduced-word letter at a time:
 
 where DQ is the exact telescoping quotient from ``laurent``.  T-against-T
 products reduce along reduced words with the quadratic relation
-T_s^2 = (v-1) T_s + v.
+T_s^2 = (v-1) T_s + v.  A product x * y builds T_w y once for each distinct
+T-part w among the terms of x, one ``left_mul_gen`` per letter of the
+reduced word of w; every term c e^lam T_w of x then shifts the exponents of
+that product by lam and multiplies its coefficients by c.
 
 The length-zero generators Tw[k] are single Bernstein terms.  For
 0 <= r < m, w_r = t^{-omega_r} sigma_r, so t^{omega_r} w_r = sigma_r; the
@@ -33,8 +36,8 @@ a finite letter is ``right_mul_gen``, and the affine letter uses
 reading T_u T_{s_m} from a table keyed by u in S_m (``functools.cache`` on
 ``_affine_right``: at most m! entries per rank, each built once by the
 product), so the step only shifts exponents by lam and multiplies
-coefficients.  The T_{w_1} powers and the affine generator are cached the
-same way.
+coefficients.  The T_{w_1} powers, the finite generators T[i] (at most
+m - 1 per rank) and the affine generator are cached the same way.
 
 Every element built from terms (sums, generator steps, products) passes
 one accumulator, ``_collect``, which drops cancelled keys and checks the term
@@ -102,10 +105,13 @@ class HeckeElt:
 
     @staticmethod
     def basis(m: int, lam, perm, coeff: LaurentPoly = ONE_S) -> "HeckeElt":
-        """coeff * e^lam T_perm; ``ValueError`` unless lam and perm have m entries."""
+        """coeff * e^lam T_perm, the zero element when coeff is 0;
+        ``ValueError`` unless lam and perm have m entries."""
         lam, perm = tuple(lam), tuple(perm)
         if len(lam) != m or len(perm) != m:
             raise ValueError(f"e^{lam} T{perm} needs m={m} entries in each")
+        if coeff.is_zero():
+            return HeckeElt.zero(m)
         return HeckeElt(m, {(lam, perm): coeff})
 
     @staticmethod
@@ -113,9 +119,7 @@ class HeckeElt:
         """T[i]; finite for 1 <= i < m, Bernstein form of the affine node at i = m."""
         if not 1 <= i <= m:
             raise ValueError(f"generator index {i} out of range for m={m}")
-        if i < m:
-            return HeckeElt.basis(m, (0,) * m, weyl.simple_reflection(m, i).perm)
-        return _affine_gen(m)
+        return _finite_gen(m, i) if i < m else _affine_gen(m)
 
     @staticmethod
     def tw(m: int, k: int) -> "HeckeElt":
@@ -152,32 +156,30 @@ class HeckeElt:
     def left_mul_gen(self, i: int) -> "HeckeElt":
         """T_{s_i} * self for a finite index 1 <= i < m."""
         a, b = i - 1, i  # 0-indexed values swapped by s_i
-
-        def pairs():
-            for (lam, w), c in self.terms.items():
-                swl = list(lam)
-                swl[a], swl[b] = swl[b], swl[a]
-                swl = tuple(swl)
-                # T_i T_w: ascent iff value a sits left of value b in w
-                ia, ib = w.index(a), w.index(b)
-                sw = list(w)
-                sw[ia], sw[ib] = b, a
-                sw = tuple(sw)
-                if ia < ib:
-                    yield (swl, sw), c
-                else:
-                    yield (swl, w), V_MINUS_1 * c
-                    yield (swl, sw), V * c
-                # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; the sign
-                # of the telescoping sum goes into the (1 - v) factor
-                sign, js = demazure_range(swl[a] - swl[b])
-                if js:
-                    cdq = (ONE_MINUS_V if sign > 0 else V_MINUS_1) * c
-                    head, x, y, tail = swl[:a], swl[a], swl[b], swl[b + 1 :]
-                    for j in js:
-                        yield ((*head, x - j, y + j, *tail), w), cdq
-
-        return _collect(self.m, pairs())
+        pairs = []
+        push = pairs.append
+        for (lam, w), c in self.terms.items():
+            x, y = lam[a], lam[b]
+            head, tail = lam[:a], lam[b + 1 :]
+            swl = (*head, y, x, *tail)
+            # T_i T_w: ascent iff value a sits left of value b in w
+            ia, ib = w.index(a), w.index(b)
+            sw = list(w)
+            sw[ia], sw[ib] = b, a
+            sw = tuple(sw)
+            if ia < ib:
+                push(((swl, sw), c))
+            else:
+                push(((swl, w), V_MINUS_1 * c))
+                push(((swl, sw), V * c))
+            # + (1 - v) c DQ(s_i(lam), i), built only when DQ != 0; the sign
+            # of the telescoping sum goes into the (1 - v) factor
+            sign, js = demazure_range(y - x)
+            if js:
+                cdq = (ONE_MINUS_V if sign > 0 else V_MINUS_1) * c
+                for j in js:
+                    push((((*head, y - j, x + j, *tail), w), cdq))
+        return _collect(self.m, pairs)
 
     def right_mul_gen(self, i: int) -> "HeckeElt":
         """self * T_{s_i} for a finite index; no Bernstein rewriting needed."""
@@ -197,10 +199,16 @@ class HeckeElt:
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if self.m != other.m:
             raise ValueError("rank mismatch")
-        return _shifted_sum(
-            self.m,
-            ((lam1, c1, _left_mul_perm(w1, other)) for (lam1, w1), c1 in self.terms.items()),
-        )
+        # T_w1 * other once per distinct w1; each term with that T-part
+        # shifts and scales the same product
+        left: dict[tuple[int, ...], HeckeElt] = {}
+        parts = []
+        for (lam1, w1), c1 in self.terms.items():
+            x = left.get(w1)
+            if x is None:
+                x = left[w1] = _left_mul_perm(w1, other)
+            parts.append((lam1, c1, x))
+        return _shifted_sum(self.m, parts)
 
     # -- specialization ----------------------------------------------------
 
@@ -280,7 +288,13 @@ def _shifted_sum(
     return _collect(m, pairs)
 
 
-# -- Omega generators and the affine node ---------------------------------
+# -- generators -------------------------------------------------------------
+
+@cache
+def _finite_gen(m: int, i: int) -> HeckeElt:
+    """T[i] for 1 <= i < m: at most m - 1 entries per rank."""
+    return HeckeElt.basis(m, (0,) * m, weyl.simple_reflection(m, i).perm)
+
 
 @cache
 def _tw_power(m: int, k: int) -> HeckeElt:

@@ -210,6 +210,33 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(self.profile) == 1:
+            # Z[s^-1, s]: one exponent per key, added without the generic zip;
+            # a one-term factor 1 gives the other operand, and a constant one
+            # keeps the other's key tuples
+            if len(a) == 1:
+                (((ea,), ca),) = a.items()
+                if ea:
+                    out = {(ea + eb,): ca * cb for (eb,), cb in b.items()}
+                elif ca == 1:
+                    if len(b) > _MAX_TERMS:
+                        check_terms(len(b))
+                    return other if a is self.terms else self
+                else:
+                    out = {kb: ca * cb for kb, cb in b.items()}
+            else:
+                out = {}
+                for (ea,), ca in a.items():
+                    for (eb,), cb in b.items():
+                        key = (ea + eb,)
+                        c2 = out.get(key, 0) + ca * cb
+                        if c2:
+                            out[key] = c2
+                        else:
+                            del out[key]
+            if len(out) > _MAX_TERMS:
+                check_terms(len(out))
+            return LaurentPoly(self.profile, out)
         if len(a) == 1:
             # a factor equal to the constant 1 gives the other one, which is
             # still held to the cap; with one term each, either may be the 1
@@ -222,23 +249,6 @@ class LaurentPoly:
                 if cb == 1 and not any(kb):
                     check_terms(1)
                     return self if a is self.terms else other
-        if len(self.profile) == 1:
-            # Z[s^-1, s]: one exponent per key, added without the generic zip
-            if len(a) == 1:
-                (((ea,), ca),) = a.items()
-                out = {(ea + eb,): ca * cb for (eb,), cb in b.items()}
-            else:
-                out = {}
-                for (ea,), ca in a.items():
-                    for (eb,), cb in b.items():
-                        key = (ea + eb,)
-                        c2 = out.get(key, 0) + ca * cb
-                        if c2:
-                            out[key] = c2
-                        else:
-                            del out[key]
-        elif len(a) == 1:
-            ((ka, ca),) = a.items()
             out = {tuple(map(add, ka, kb)): ca * cb for kb, cb in b.items()}
         else:
             out = {}

@@ -8,8 +8,8 @@ fixed points p_1, ..., p_m; the torus scales the standard basis by
 Ground truth is the fixed-point representation: a K-class is recorded by its
 m restriction entries in Z[g^{+-1}, s^{+-1}] alone, and its theorem-basis
 coordinates are derived from them once, on demand (``KClass.coords``).  The
-fixed flags, the theorem basis and its step data are built once per rank
-(``functools.cache``).  Line bundles restrict to their fiber weights; the
+fixed flags, the theorem basis, its step data and the solved
+change-of-basis tables are built once per rank (``functools.cache``).  Line bundles restrict to their fiber weights; the
 two declared bases are
 
   * the theorem basis  B_0 = O,  B_i = s^{i(m-i)} L_{-omega_i}, whose tuples
@@ -368,9 +368,11 @@ def _system_matrix(m: int) -> list[list[LaurentPoly]]:
     return rows
 
 
+@cache
 def declared_bases(m: int) -> BasisTables:
     """Solve the change-of-basis system against the computed tuples of
-    {O, L_{omega_1}, ..., L_{omega_{m-1}}}.
+    {O, L_{omega_1}, ..., L_{omega_{m-1}}}; solved once per rank, so the
+    ``declared-bases`` check and ``bundle_identities_hold`` share one solve.
 
     The X-block is triangularized by differencing adjacent normalized rows:
     with tail_k = X_k + sum_{j>k} s^{2(j-k)} X_j one has tail_1 = R'_1 and

@@ -320,19 +320,23 @@ def test_associativity_random():
         assert (a * b) * c == a * (b * c)
 
 
-LEFT_MUL_GEN_SOURCE = textwrap.dedent(inspect.getsource(HeckeElt.left_mul_gen))
+# the sources as imported, before any test replaces a method by a mutant
+SOURCES = {
+    name: textwrap.dedent(inspect.getsource(getattr(HeckeElt, name)))
+    for name in ("left_mul_gen", "__mul__")
+}
 
 
-def _left_mul_gen_mutant(*edits):
-    """``HeckeElt.left_mul_gen`` recompiled from its source with each
-    (old, new) text edit applied; each old text must occur exactly once."""
-    src = LEFT_MUL_GEN_SOURCE
+def _mutant(name, *edits):
+    """``HeckeElt.<name>`` recompiled from its source with each (old, new)
+    text edit applied; each old text must occur exactly once."""
+    src = SOURCES[name]
     for old, new in edits:
         assert src.count(old) == 1, old
         src = src.replace(old, new)
     scope = {}
-    exec(compile(src, "<left_mul_gen mutant>", "exec"), dict(vars(hecke)), scope)
-    return scope["left_mul_gen"]
+    exec(compile(src, f"<{name} mutant>", "exec"), dict(vars(hecke)), scope)
+    return scope[name]
 
 
 LEFT_ACTION_FAULTS = {
@@ -340,8 +344,8 @@ LEFT_ACTION_FAULTS = {
     "bernstein-sign": [("(ONE_MINUS_V if sign > 0 else V_MINUS_1)", "ONE_MINUS_V")],
     # v - 1 and v trade places when T_i meets a descent of T_w
     "descent-swap": [
-        ("yield (swl, w), V_MINUS_1 * c", "yield (swl, w), V * c"),
-        ("yield (swl, sw), V * c", "yield (swl, sw), V_MINUS_1 * c"),
+        ("push(((swl, w), V_MINUS_1 * c))", "push(((swl, w), V * c))"),
+        ("push(((swl, sw), V * c))", "push(((swl, sw), V_MINUS_1 * c))"),
     ],
 }
 
@@ -349,12 +353,35 @@ LEFT_ACTION_FAULTS = {
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_planted_left_action_fault_fails_associativity(monkeypatch, fresh_caches, m):
     for name, edits in LEFT_ACTION_FAULTS.items():
-        monkeypatch.setattr(HeckeElt, "left_mul_gen", _left_mul_gen_mutant(*edits))
+        monkeypatch.setattr(HeckeElt, "left_mul_gen", _mutant("left_mul_gen", *edits))
         check = verify.run_check("hecke", "associativity", m)
         assert check.status == "fail", (name, check)
         relation, _, b = check.counterexample.rpartition(" b=")
         assert relation.split()[0] in ("quadratic", "braid", "commute", "bernstein"), (name, check)
         assert len(parse_hecke(m, b).terms) == 1, (name, check)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_planted_reuse_key_fault_fails_associativity(monkeypatch, fresh_caches, m):
+    # a product that reuses T_w1 * other for every w1 of one length, not
+    # only for equal w1: at m = 2 each length has one permutation, from
+    # m = 3 on s_1 and s_2 share length 1
+    keyed_by_length = _mutant(
+        "__mul__",
+        ("x = left.get(w1)", "x = left.get(len(perm_word(w1)))"),
+        ("x = left[w1] = ", "x = left[len(perm_word(w1))] = "),
+    )
+    monkeypatch.setattr(HeckeElt, "__mul__", keyed_by_length)
+    check = verify.run_check("hecke", "associativity", m)
+    assert check.status == "fail", check
+
+
+def test_finite_generators_are_basis_elements():
+    # the cached T[i] is the Bernstein basis element e^0 T_(s_i)
+    for m in range(2, 7):
+        for i in range(1, m):
+            want = HeckeElt.basis(m, (0,) * m, weyl.simple_reflection(m, i).perm)
+            assert HeckeElt.gen(m, i) == want, (m, i)
 
 
 def test_planted_collect_fault_fails_quadratic_and_t_inverse(monkeypatch, fresh_caches):
@@ -422,6 +449,30 @@ def test_basis_rejects_wrong_lengths():
         with pytest.raises(ValueError, match="m=2"):
             HeckeElt.basis(2, lam, perm)
     assert str(HeckeElt.basis(2, [1, 0], [1, 0])) == "e[1,0]*T[1]"
+
+
+def _zero_basis_element():
+    return HeckeElt.basis(2, (0, 0), (0, 1), LaurentPoly.zero(S_PROFILE))
+
+
+# a zero coefficient once kept its term: the element printed "(0)" but was
+# not zero, did not parse back, and survived every sum
+
+
+def test_basis_with_a_zero_coefficient_is_zero():
+    h = _zero_basis_element()
+    assert str(h) == "0"
+    assert h.is_zero() and h == HeckeElt.zero(2)
+
+
+def test_basis_with_a_zero_coefficient_round_trips():
+    h = _zero_basis_element()
+    assert parse_hecke(2, str(h)) == h
+
+
+def test_basis_with_a_zero_coefficient_leaves_sums():
+    h = _zero_basis_element()
+    assert (h + HeckeElt.zero(2)).terms == {}
 
 
 def test_tw_powers_match_iterated_products():

@@ -520,14 +520,20 @@ def test_div_exact_holds_the_quotient_to_the_term_cap(monkeypatch):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 BUDGET_SCRIPT = """
-from glhecke.laurent import LaurentPoly, TermBudgetError, x_profile
+from glhecke.laurent import S_PROFILE, LaurentPoly, TermBudgetError, x_profile
+def poly(profile, *keys):
+    return LaurentPoly.from_terms(profile, ((k, 1) for k in keys))
+def size(thunk):
+    try:
+        print(len(thunk().terms))
+    except TermBudgetError:
+        print("TermBudgetError")
 # x1 + x2 + s + 1, built without a sum, which a cap of 3 would stop
-keys = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
-a = LaurentPoly.from_terms(x_profile(2), ((k, 1) for k in keys))
-try:
-    print(len((a ** 2).terms))
-except TermBudgetError:
-    print("TermBudgetError")
+a = poly(x_profile(2), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+size(lambda: a ** 2)
+# the one-variable branch: (1 + s)(1 + s^2) has 4 terms, s (1 + s + s^2) 3
+size(lambda: poly(S_PROFILE, (0,), (1,)) * poly(S_PROFILE, (0,), (2,)))
+size(lambda: poly(S_PROFILE, (1,)) * poly(S_PROFILE, (0,), (1,), (2,)))
 """
 
 
@@ -549,8 +555,8 @@ def test_term_budget_read_from_environment():
             [sys.executable, "-c", BUDGET_SCRIPT], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.strip())
-    assert outputs == ["TermBudgetError", "10"]
+        outputs.append(proc.stdout.split())
+    assert outputs == [["TermBudgetError", "TermBudgetError", "3"], ["10", "4", "3"]]
 
 
 X_PAIR = [(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)]
